@@ -60,8 +60,6 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", choices=["0", "1"], default="0")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (default min(4, nproc))")
     parser.add_argument("--selftest", action="store_true",
                         help="build and run the statistics self-test")
     args = parser.parse_args()
@@ -77,7 +75,6 @@ def main():
     command = [os.path.join(out, "perfbench"),
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", args.trace,
-               "--threads", str(args.threads),
                "--work-dir", os.path.join(out, "run"),
                "--git", git_describe()]
     with subprocess.Popen(command) as child:

@@ -2,14 +2,14 @@
 """Run the benchmark on several seeds and report each metric's spread.
 
     python3 perfbench/spread.py --workload <name> [--seeds 10] [--first-seed 1]
-                                [--trace 0] [--seconds <s>] [--verbose]
+                                [--verbose]
 
-Run from the root of a checkout. For each metric of the chosen mode it
-prints the median of the per-seed values and the distance between the
-first and third quartile (statistics.quantiles, n=4) as a share of that
-median, next to the metric's bound from BENCHMARK.json; "ok" marks a
-spread below a third of the bound. --seconds defaults to the file's
-run_seconds.
+Run from the root of a checkout. It runs the untraced benchmark for
+BENCHMARK.json's run_seconds once per seed and, for each end-to-end
+metric, prints the median of the per-seed values and the distance between
+the first and third quartile (statistics.quantiles, n=4) as a share of
+that median, next to the metric's bound; "ok" marks a spread below a third
+of the bound.
 """
 import argparse
 import json
@@ -26,8 +26,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--trace", choices=["0", "1"], default="0")
-    parser.add_argument("--seconds", type=int)
     parser.add_argument("--verbose", action="store_true",
                         help="also print every seed's values")
     args = parser.parse_args()
@@ -35,13 +33,13 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     values = {}
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         command = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
                    "--workload", args.workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", args.trace]
+                   "--seconds", str(seconds), "--trace", "0"]
         done = subprocess.run(command, stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, text=True)
         result = json.loads(done.stdout.strip().splitlines()[-1])

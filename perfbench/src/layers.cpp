@@ -49,7 +49,8 @@ double ns_per_op(std::size_t ops, Loop&& loop) {
 
 }  // namespace
 
-void pool_trace(const std::string& path, TraceStats& stats) {
+void pool_trace(const std::string& path, std::size_t cycle,
+                TraceStats& stats) {
   const trace::LoadedTrace loaded = trace::load_trace(path);
   stats.events += loaded.trailer_events;
   stats.dropped += loaded.trailer_dropped;
@@ -118,9 +119,11 @@ void pool_trace(const std::string& path, TraceStats& stats) {
   }
 
   // A scheduler round runs one combined graph; its host time is the rest.
+  // Round i closes at the registry's i-th step callback.
+  std::vector<double> round_ns;
+  std::vector<double> inside_ns;
   std::size_t next_graph = 0;
   for (const Interval& round : rounds) {
-    stats.round_us.push_back(span_us(round));
     while (next_graph < graphs.size() && graphs[next_graph].first < round.first)
       ++next_graph;
     std::uint64_t inside = 0;
@@ -129,8 +132,15 @@ void pool_trace(const std::string& path, TraceStats& stats) {
       inside += graphs[next_graph].second - graphs[next_graph].first;
       ++next_graph;
     }
-    stats.host_us.push_back(
-        static_cast<double>(round.second - round.first - inside) * 1e-3);
+    round_ns.push_back(static_cast<double>(round.second - round.first));
+    inside_ns.push_back(static_cast<double>(inside));
+  }
+  const std::vector<double> cycle_ns = per_cycle(round_ns, cycle);
+  const std::vector<double> cycle_inside_ns = per_cycle(inside_ns, cycle);
+  for (std::size_t c = 0; c < cycle_ns.size(); ++c) {
+    stats.round_us.push_back(cycle_ns[c] * 1e-3);
+    stats.round_graph_us.push_back(cycle_inside_ns[c] * 1e-3);
+    stats.host_us.push_back((cycle_ns[c] - cycle_inside_ns[c]) * 1e-3);
   }
 
   const auto ranges = counter_ranges(loaded);

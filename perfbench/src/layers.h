@@ -20,8 +20,11 @@ struct TraceStats {
   std::vector<double> graph_self_us;  // graph minus its sub_batch union
   std::vector<double> dispatch_us;    // graph begin -> first sub_batch
   std::vector<double> sub_batch_us;   // sub_batch spans
-  std::vector<double> round_us;       // scheduler_round spans
-  std::vector<double> host_us;        // round minus its graph
+  // Registry runs, per scheduling cycle (one step: schedule_cycle
+  // rounds after the first round), summed over the cycle's rounds.
+  std::vector<double> round_us;        // scheduler_round spans
+  std::vector<double> round_graph_us;  // graph spans inside those rounds
+  std::vector<double> host_us;         // rounds minus their graphs
   std::vector<double> wal_append_us;  // wal_append spans
   double sub_batch_ns = 0.0;  // sum of sub_batch durations
   double graph_ns = 0.0;      // sum of graph durations
@@ -37,10 +40,12 @@ struct TraceStats {
   std::size_t runs_rejected = 0;  // traced runs left out (dropped > 0)
 };
 
-/// Loads the trace at `path` and pools it into `stats`. A trace that
-/// dropped events, or did not shut down cleanly, adds only to the
-/// event/drop totals and the rejected count: its spans are incomplete.
-void pool_trace(const std::string& path, TraceStats& stats);
+/// Loads the trace at `path` and pools it into `stats`; `cycle` is the
+/// traced registry's schedule_cycle. A trace that dropped events, or did
+/// not shut down cleanly, adds only to the event/drop totals and the
+/// rejected count: its spans are incomplete.
+void pool_trace(const std::string& path, std::size_t cycle,
+                TraceStats& stats);
 
 /// Leaf calls, each the median of several timed loops.
 struct LeafTimes {

@@ -1,7 +1,7 @@
 // perfbench — the route service's benchmark binary.
 //
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//             [--threads <k>] [--work-dir <dir>] [--git <describe>]
+//             [--work-dir <dir>] [--git <describe>]
 //
 // --trace 0 measures the end-to-end metrics with tracing off; --trace 1
 // is the separate traced run that gives the per-layer metrics. Both
@@ -39,12 +39,17 @@ namespace {
 
 using namespace staleflow;
 
+/// recover_wal and scan_wal calls timed per measured run. One call's time
+/// varies by about a quarter from call to call (it reads the whole WAL
+/// into fresh memory), so each run contributes several and recover_s and
+/// recovery.scan_ms are medians over all of them.
+constexpr std::size_t kRecoveries = 3;
+
 struct Args {
   std::string workload;
   std::uint64_t seed = kPinnedSeed;
   double seconds = 10.0;
   bool trace = false;
-  std::size_t threads = 0;  // 0 = min(4, nproc)
   std::string work_dir = ".bench_build/perfbench-run";
   std::string git = "unknown";
 };
@@ -52,7 +57,7 @@ struct Args {
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "error: " << error
             << "\nusage: perfbench --workload <name> --seed <n> --seconds "
-               "<s> --trace <0|1> [--threads <k>] [--work-dir <dir>] "
+               "<s> --trace <0|1> [--work-dir <dir>] "
                "[--git <describe>]\nworkloads:";
   for (const WorkloadDef& def : workloads()) std::cerr << ' ' << def.name;
   std::cerr << '\n';
@@ -75,8 +80,6 @@ Args parse_args(int argc, char** argv) {
       } else if (flag == "--trace") {
         if (value != "0" && value != "1") usage("--trace takes 0 or 1");
         args.trace = value == "1";
-      } else if (flag == "--threads") {
-        args.threads = std::stoull(value);
       } else if (flag == "--work-dir") {
         args.work_dir = value;
       } else if (flag == "--git") {
@@ -286,21 +289,23 @@ struct Bench {
                                       hex_list(expected.digests)));
   }
 
-  /// Times recover_wal on the WAL just written and checks that it reads
-  /// back a clean shutdown with the run's own digests; an empty error
-  /// means the check passed.
-  double recover(const std::vector<std::uint64_t>& digests,
-                 std::string& error) {
-    const std::uint64_t begin = trace::now_ns();
-    const recovery::RecoveredRun run = recovery::recover_wal(wal_path);
-    const double seconds = since_s(begin);
-    if (!run.clean_shutdown) {
-      error = "recover_wal: no clean shutdown (" + run.note + ")";
-    } else if (run.digests != digests) {
-      error = "recover_wal: digests " + hex_list(run.digests) +
-              " != run's " + hex_list(digests);
+  /// Times kRecoveries calls of recover_wal on the WAL just written,
+  /// appending each to `seconds`, and checks that every call reads back a
+  /// clean shutdown with the run's own digests; an empty error means the
+  /// check passed.
+  void recover(const std::vector<std::uint64_t>& digests,
+               std::vector<double>& seconds, std::string& error) {
+    for (std::size_t i = 0; i < kRecoveries; ++i) {
+      const std::uint64_t begin = trace::now_ns();
+      const recovery::RecoveredRun run = recovery::recover_wal(wal_path);
+      seconds.push_back(since_s(begin));
+      if (!run.clean_shutdown) {
+        error = "recover_wal: no clean shutdown (" + run.note + ")";
+      } else if (run.digests != digests) {
+        error = "recover_wal: digests " + hex_list(run.digests) +
+                " != run's " + hex_list(digests);
+      }
     }
-    return seconds;
   }
 
   /// A solo workload's logged side pass: its first side_steps epochs as a
@@ -357,8 +362,8 @@ void run_end_to_end(Bench& bench, Report& report) {
 
   // A solo workload writes its side-pass WAL once, up front (checked
   // against the pinned or reference prefix digest); every measured run
-  // then recovers it once, so recovery samples spread over the window
-  // like the runs themselves.
+  // then recovers it, so recovery samples spread over the window like
+  // the runs themselves.
   if (solo) {
     bench.guarded("side pass", [&] {
       const RunSample side = bench.side_pass();
@@ -382,8 +387,8 @@ void run_end_to_end(Bench& bench, Report& report) {
         wal_bytes_per_step.push_back(static_cast<double>(sample.wal_bytes) /
                                      static_cast<double>(sample.steps));
       }
-      recover_s.push_back(bench.recover(
-          solo ? side_digests : sample.digests, recovery_error));
+      bench.recover(solo ? side_digests : sample.digests, recover_s,
+                    recovery_error);
       bench.check_digests(sample, tag, recovery_error.empty(),
                           recovery_error);
       setup_s.push_back(sample.setup_s);
@@ -475,7 +480,7 @@ void run_layers(Bench& bench, Report& report) {
         traced_wall.push_back(since_s(begin));
       }
       bench.check_digests(sample, tag + " traced");
-      pool_trace(bench.trace_path, traced);
+      pool_trace(bench.trace_path, schedule_cycle(def.tenants), traced);
       traced_steps.insert(traced_steps.end(), sample.step_s.begin(),
                           sample.step_s.end());
       log_round_s.insert(log_round_s.end(), sample.log_round_s.begin(),
@@ -507,17 +512,19 @@ void run_layers(Bench& bench, Report& report) {
           const TraceSession session(bench.trace_path, def.name + " wal");
           side = bench.side_pass();
         }
-        pool_trace(bench.trace_path, traced_log);
+        pool_trace(bench.trace_path, 1, traced_log);
         log_round_s.insert(log_round_s.end(), side.log_round_s.begin(),
                            side.log_round_s.end());
       });
     }
     bench.guarded(tag + " wal scan", [&] {
-      const std::uint64_t begin = trace::now_ns();
-      const recovery::WalScan scan = recovery::scan_wal(bench.wal_path);
-      scan_s.push_back(since_s(begin));
-      bench.gate.check(!scan.truncated && !scan.records.empty(),
-                       "scan_wal: truncated WAL (" + scan.note + ")");
+      for (std::size_t i = 0; i < kRecoveries; ++i) {
+        const std::uint64_t begin = trace::now_ns();
+        const recovery::WalScan scan = recovery::scan_wal(bench.wal_path);
+        scan_s.push_back(since_s(begin));
+        bench.gate.check(!scan.truncated && !scan.records.empty(),
+                         "scan_wal: truncated WAL (" + scan.note + ")");
+      }
     });
   }
   // Leaf calls on the workload's own inputs and final snapshot.
@@ -600,15 +607,18 @@ void run_layers(Bench& bench, Report& report) {
   std::cout << "metrics (per-layer, traced run):\n";
   report.print_table(std::cout);
   if (engine_steps.empty() || traced_steps.empty() || graph_s.empty() ||
-      traced.graph_us.empty()) {
+      traced.graph_us.empty() || (def.registry && traced.host_us.empty())) {
     return;  // the gate already failed; no budget to print
   }
   if (def.registry) {
-    print_budget("traced registry run", median(traced_steps) * 1e6,
-                 {{"registry host (round - graph)",
-                   report.value("registry.host_us_p50")},
-                  {"graph (exec.graph_us_p50)",
-                   report.value("exec.graph_us_p50")},
+    // Per step, i.e. per scheduling cycle, like step_ms_p50 itself.
+    print_budget("traced registry run, per cycle of " +
+                     std::to_string(schedule_cycle(def.tenants)) + " rounds",
+                 median(traced_steps) * 1e6,
+                 {{"registry host (rounds - graphs)",
+                   median(traced.host_us)},
+                  {"graphs (inside the rounds)",
+                   median(traced.round_graph_us)},
                   {"WAL log (wal.log_round_us_p50)",
                    report.value("wal.log_round_us_p50")}});
   } else {
@@ -632,8 +642,7 @@ int run(const Args& args) {
   const WorkloadDef& def = *find_workload(args.workload);
   const std::size_t nproc =
       std::max<unsigned>(1, std::thread::hardware_concurrency());
-  const std::size_t threads =
-      args.threads != 0 ? args.threads : std::min<std::size_t>(4, nproc);
+  const std::size_t threads = std::min<std::size_t>(4, nproc);
   // One directory per process, so concurrent runs never share a WAL.
   const std::string dir =
       args.work_dir + "/" + std::to_string(static_cast<long>(getpid()));

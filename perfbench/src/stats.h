@@ -90,6 +90,21 @@ inline Tail tail(std::vector<double> values) {
   return out;
 }
 
+/// Groups one run's per-callback values into steps of `cycle` callbacks
+/// (a registry's scheduling cycle; 1 for a solo server): value i, the
+/// work the i-th callback closes, joins step (i - 1) / cycle, and the
+/// steps are the sums. Value 0 (set-up, closed by the first callback)
+/// and a trailing partial cycle are left out. Requires cycle >= 1.
+inline std::vector<double> per_cycle(const std::vector<double>& values,
+                                     std::size_t cycle) {
+  const std::size_t steps = values.empty() ? 0 : (values.size() - 1) / cycle;
+  std::vector<double> out(steps, 0.0);
+  for (std::size_t i = 1; i <= steps * cycle; ++i) {
+    out[(i - 1) / cycle] += values[i];
+  }
+  return out;
+}
+
 /// A closed time interval [begin, end] in nanoseconds.
 using Interval = std::pair<std::uint64_t, std::uint64_t>;
 

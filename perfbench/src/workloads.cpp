@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <span>
 
+#include "stats.h"
+
 namespace perfbench {
 
 using namespace staleflow;
@@ -16,20 +18,29 @@ double seconds_between(std::uint64_t begin_ns, std::uint64_t end_ns) {
 }
 
 /// Step figures from the step-callback timestamps of one run that
-/// started constructing its inputs at `start_ns`.
+/// started constructing its inputs at `start_ns`; `cycle` callbacks make
+/// one step (see schedule_cycle).
 void fill_steps(RunSample& sample, std::uint64_t start_ns,
                 const std::vector<std::uint64_t>& at_ns,
-                const std::vector<std::uint64_t>& queries) {
+                const std::vector<std::uint64_t>& queries,
+                std::size_t cycle) {
   sample.steps = at_ns.size();
   if (at_ns.empty()) return;
   sample.setup_s = seconds_between(start_ns, at_ns.front());
-  std::uint64_t served = 0;
+  std::vector<double> between(at_ns.size(), 0.0);
   for (std::size_t i = 1; i < at_ns.size(); ++i) {
-    sample.step_s.push_back(seconds_between(at_ns[i - 1], at_ns[i]));
-    served += queries[i];
+    between[i] = seconds_between(at_ns[i - 1], at_ns[i]);
   }
-  const double wall = seconds_between(at_ns.front(), at_ns.back());
-  sample.queries_per_s = wall > 0.0 ? static_cast<double>(served) / wall : 0.0;
+  sample.step_s = per_cycle(between, cycle);
+  const std::vector<double> served =
+      per_cycle(std::vector<double>(queries.begin(), queries.end()), cycle);
+  double wall = 0.0;
+  double total = 0.0;
+  for (std::size_t j = 0; j < served.size(); ++j) {
+    wall += sample.step_s[j];
+    total += served[j];
+  }
+  sample.queries_per_s = wall > 0.0 ? total / wall : 0.0;
 }
 
 /// Builds every tenant's inputs into `hosts` (stable addresses: the
@@ -55,15 +66,20 @@ const std::vector<WorkloadDef>& workloads() {
   // The pinned digests are what route_server_cli prints for the same
   // configuration at --seed 1 (tenants via --tenants) on any --threads;
   // the prefix pins are its digests at --epochs <side_steps>.
+  //
+  // bulk-serve serves 400k queries per epoch: on a shared 4-vCPU host the
+  // per-epoch wake-ups of the worker threads slow by several times during
+  // contention episodes, and at 100k per epoch that fixed cost swung
+  // throughput 3x between interleaved runs (1.2x at 400k).
   static const std::vector<WorkloadDef> defs = {
       {"bulk-serve",
        "large epochs: the per-query serve loop does nearly all the work",
        false,
-       {{"bulk-serve", "random-links-32", "replicator", "closed-loop:100000",
+       {{"bulk-serve", "random-links-32", "replicator", "closed-loop:400000",
          200'000, 32, 16384, 1, 150}},
        16,
-       {0xd356210e0517b7f1},
-       0x4eddfb8a5b8585f1},
+       {0x1f4a3cbd48e4e790},
+       0x61bd3f2e0b3a4bc8},
       {"fine-epochs",
        "tiny epochs: fixed per-epoch costs (plan, graph, fold, board, "
        "summary) dominate",
@@ -78,13 +94,13 @@ const std::vector<WorkloadDef>& workloads() {
        "graphs, forced splits, latency feedback and log writes",
        true,
        {{"edge", "random-links-32", "replicator", "bursty:1500000,150000,3,2",
-         40'000, 16, 4096, 1, 100},
+         40'000, 16, 4096, 1, 200},
         {"core", "multicommodity-grid-3x3", "replicator",
-         "closed-loop-lat:40000,0.02", 10'000, 16, 16384, 2, 200},
+         "closed-loop-lat:40000,0.02", 10'000, 16, 16384, 2, 400},
         {"tiny", "braess", "replicator", "closed-loop:2000", 2'000, 16, 16384,
-         1, 100}},
+         1, 200}},
        0,
-       {0xdb14f17d8d38c48b, 0x2784463bcb88b29e, 0xc0a01807bdb7261e}},
+       {0x691d8a6b846bbda3, 0x8474dc501d116173, 0xaeee3b63883beb8a}},
   };
   return defs;
 }
@@ -136,7 +152,7 @@ RunSample run_solo(const WorkloadDef& def, std::uint64_t seed,
       });
 
   RunSample sample;
-  fill_steps(sample, start_ns, at_ns, queries);
+  fill_steps(sample, start_ns, at_ns, queries, 1);
   sample.digests = {telemetry_digest(result.epochs)};
   if (inspect) inspect(host, server.snapshot());
   return sample;
@@ -147,6 +163,7 @@ RunSample run_logged(const std::vector<TenantDef>& tenants,
                      const std::string& wal_path, const Inspect& inspect) {
   std::vector<std::uint64_t> at_ns;
   std::vector<std::uint64_t> queries;
+  std::vector<double> log_s;
   RunSample sample;
   // A fresh file rather than a truncated one: ext4 writes a file that was
   // truncated and rewritten back to disk when it is closed, which would
@@ -178,18 +195,33 @@ RunSample run_logged(const std::vector<TenantDef>& tenants,
         queries.push_back(round_queries);
         round_queries = 0;
         wal.log_round(round);
-        sample.log_round_s.push_back(
-            seconds_between(now, trace::now_ns()));
+        log_s.push_back(seconds_between(now, trace::now_ns()));
       });
   wal.finish();
 
-  fill_steps(sample, start_ns, at_ns, queries);
+  const std::size_t cycle = schedule_cycle(tenants);
+  fill_steps(sample, start_ns, at_ns, queries, cycle);
+  // The log call of a round runs right after the round's callback, so
+  // it is work the next callback closes (the last one, none).
+  if (!log_s.empty()) {
+    log_s.pop_back();
+    log_s.insert(log_s.begin(), 0.0);
+  }
+  sample.log_round_s = per_cycle(log_s, cycle);
   for (const TenantResult& tenant : result.tenants) {
     sample.digests.push_back(telemetry_digest(tenant.server.epochs));
   }
   sample.wal_bytes = std::filesystem::file_size(wal_path);
   if (inspect) inspect(hosts.front(), registry.snapshot(0));
   return sample;
+}
+
+std::size_t schedule_cycle(const std::vector<TenantDef>& tenants) {
+  std::size_t cycle = 1;
+  for (const TenantDef& tenant : tenants) {
+    cycle = std::max(cycle, tenant.weight);
+  }
+  return cycle;
 }
 
 std::vector<TenantDef> logged_tenants(const WorkloadDef& def) {

@@ -6,9 +6,9 @@
 // Load model: closed. The next epoch (or scheduler round) starts only
 // when the previous one finished; arrivals per epoch come from the
 // library's seeded WorkloadGenerator and the board period T is virtual
-// time. A *step* is one epoch of a solo server or one scheduler round of
-// a registry, and every figure is work completed per second at the
-// stated input size.
+// time. A *step* is one epoch of a solo server or one scheduling cycle
+// (schedule_cycle rounds) of a registry, and every figure is work
+// completed per second at the stated input size.
 #pragma once
 
 #include <cstddef>
@@ -95,14 +95,14 @@ using Inspect =
 
 /// One timed run of a workload.
 struct RunSample {
-  double setup_s = 0.0;  // input construction start -> first step
-  std::vector<double> step_s;  // between step callbacks, first excluded
-  double queries_per_s = 0.0;  // after the first step
-  std::size_t steps = 0;
+  double setup_s = 0.0;  // input construction start -> first callback
+  std::vector<double> step_s;  // per step after the first callback
+  double queries_per_s = 0.0;  // after the first callback
+  std::size_t steps = 0;  // epochs (solo) or rounds (registry) served
   std::vector<std::uint64_t> digests;  // per tenant
 
   // Logged runs only.
-  std::vector<double> log_round_s;  // time inside WalLog::log_round
+  std::vector<double> log_round_s;  // per step: inside WalLog::log_round
   std::uint64_t wal_bytes = 0;
 };
 
@@ -118,6 +118,14 @@ RunSample run_logged(const std::vector<TenantDef>& tenants,
                      std::uint64_t seed, staleflow::Executor& executor,
                      const std::string& wal_path,
                      const Inspect& inspect = nullptr);
+
+/// Rounds in one cycle of the registry's weighted schedule: every round
+/// adds each tenant's weight to its credit and serves the tenants whose
+/// credit reaches the largest weight, so the set of tenants served
+/// repeats every max-weight rounds. A registry's step is one such cycle,
+/// so that every step serves the same mix (with weights 1, 2, 1 a round
+/// alternately serves `core` alone and all three tenants).
+std::size_t schedule_cycle(const std::vector<TenantDef>& tenants);
 
 /// The tenants a workload's logged pass serves: the registry's own, or
 /// a solo workload's tenant cut to its side-pass length.

@@ -1,7 +1,8 @@
 // Self-test of the benchmark's statistics helpers (src/stats.h):
 // quartiles as Python's statistics.quantiles(n=4) gives them, the
-// tail-percentile rule, span self time over nested and overlapping
-// children, and the correctness gate's failed-step tally.
+// tail-percentile rule, the grouping of callbacks into scheduling-cycle
+// steps, span self time over nested and overlapping children, and the
+// correctness gate's failed-step tally.
 //
 //   python3 perfbench/run.py --selftest
 //
@@ -73,6 +74,20 @@ void test_tail_rule() {
   CHECK(near(tail(reversed).value, 990.0));
 }
 
+void test_per_cycle() {
+  using perfbench::per_cycle;
+  // Value 0 is set-up; cycles of two sum values 1+2, 3+4; 5 is partial.
+  const auto two = per_cycle({100, 1, 2, 3, 4, 5}, 2);
+  CHECK(two.size() == 2 && near(two[0], 3) && near(two[1], 7));
+  // A cycle of one keeps every value after set-up.
+  const auto one = per_cycle({100, 1, 2, 3}, 1);
+  CHECK(one.size() == 3 && near(one[0], 1) && near(one[2], 3));
+  // Alternating light and heavy rounds give equal cycles.
+  const auto mixed = per_cycle({9, 1, 5, 1, 5, 1, 5}, 2);
+  CHECK(mixed.size() == 3 && near(mixed[0], 6) && near(mixed[2], 6));
+  CHECK(per_cycle({}, 2).empty() && per_cycle({7, 1}, 2).empty());
+}
+
 void test_self_time() {
   using perfbench::Interval;
   using perfbench::self_ns;
@@ -116,6 +131,7 @@ void test_gate() {
 int main() {
   test_median_and_quartiles();
   test_tail_rule();
+  test_per_cycle();
   test_self_time();
   test_gate();
   if (g_failures == 0) std::printf("perfbench selftest: all checks passed\n");
