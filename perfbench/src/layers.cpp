@@ -148,8 +148,6 @@ void pool_trace(const std::string& path, std::size_t cycle,
     const auto it = ranges.find(name);
     return it == ranges.end() ? 0 : it->second.second - it->second.first;
   };
-  stats.local_hits += delta("pool.local_hits");
-  stats.steals += delta("pool.steals");
   stats.nodes += delta("exec.nodes");
   stats.graphs += delta("exec.graphs");
 }

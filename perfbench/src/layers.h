@@ -29,8 +29,6 @@ struct TraceStats {
   double sub_batch_ns = 0.0;  // sum of sub_batch durations
   double graph_ns = 0.0;      // sum of graph durations
   std::uint64_t arrivals = 0;  // sum of sub_batch arrival quotas
-  std::uint64_t local_hits = 0;  // pool.local_hits delta
-  std::uint64_t steals = 0;      // pool.steals delta
   std::uint64_t nodes = 0;       // exec.nodes delta
   std::uint64_t graphs = 0;      // exec.graphs delta
   std::uint64_t events = 0;      // events written, all traced runs

@@ -45,6 +45,18 @@ using namespace staleflow;
 /// recovery.scan_ms are medians over all of them.
 constexpr std::size_t kRecoveries = 3;
 
+/// Set-up probes (see Bench::setup_probe) after every measured run, each
+/// from the trimmed heap a measured run starts from: setup_s is the
+/// median of the runs' own set-ups and the probes', so that a window of
+/// a few long runs still has many set-up samples.
+constexpr std::size_t kSetupProbes = 4;
+
+/// step_ms_tail's ladder stops at p90. On fine-epochs' sub-0.1 ms steps the
+/// per-run p99 spread 0.16 to 0.28 (interquartile share over five seeds)
+/// with host preemptions, p90 0.03; the other workloads' runs are too
+/// short for p99 anyway.
+constexpr std::size_t kStepTailPermille = 900;
+
 struct Args {
   std::string workload;
   std::uint64_t seed = kPinnedSeed;
@@ -329,6 +341,21 @@ struct Bench {
                : run_solo(def, args.seed, executor, inspect);
   }
 
+  /// The set-up of a public-entry run whose tenants serve one epoch
+  /// each: its first step is the full run's first step, so it measures
+  /// the same set-up at a fraction of the cost. Its digests are not
+  /// checked (they cover one epoch).
+  double setup_probe() {
+    std::vector<TenantDef> tenants = def.tenants;
+    for (TenantDef& tenant : tenants) tenant.epochs = 1;
+    if (def.registry) {
+      return run_logged(tenants, args.seed, executor, wal_path).setup_s;
+    }
+    WorkloadDef one = def;
+    one.tenants = tenants;
+    return run_solo(one, args.seed, executor).setup_s;
+  }
+
   std::size_t planned_steps() const {
     std::size_t steps = 0;
     for (const TenantDef& tenant : def.tenants) {
@@ -392,11 +419,15 @@ void run_end_to_end(Bench& bench, Report& report) {
       bench.check_digests(sample, tag, recovery_error.empty(),
                           recovery_error);
       setup_s.push_back(sample.setup_s);
+      for (std::size_t i = 0; i < kSetupProbes; ++i) {
+        reset_peak_rss();  // the heap state a measured run starts from
+        setup_s.push_back(bench.setup_probe());
+      }
       qps.push_back(sample.queries_per_s);
       steps_s.insert(steps_s.end(), sample.step_s.begin(),
                      sample.step_s.end());
       if (!sample.step_s.empty()) {
-        run_tail = tail(sample.step_s);
+        run_tail = tail(sample.step_s, kStepTailPermille);
         tails_s.push_back(run_tail.value);
       }
     });
@@ -555,12 +586,6 @@ void run_layers(Bench& bench, Report& report) {
                  ? traced.sub_batch_ns / (traced.graph_ns * threads)
                  : 0.0,
              "frac", traced.graph_us.size());
-  report.add("exec.local_ratio",
-             traced.local_hits + traced.steals > 0
-                 ? static_cast<double>(traced.local_hits) /
-                       static_cast<double>(traced.local_hits + traced.steals)
-                 : 0.0,
-             "frac", traced.local_hits + traced.steals);
   report.add("exec.nodes_per_step",
              traced.graphs > 0 ? static_cast<double>(traced.nodes) /
                                      static_cast<double>(traced.graphs)
@@ -642,23 +667,24 @@ int run(const Args& args) {
   const WorkloadDef& def = *find_workload(args.workload);
   const std::size_t nproc =
       std::max<unsigned>(1, std::thread::hardware_concurrency());
-  const std::size_t threads = std::min<std::size_t>(4, nproc);
   // One directory per process, so concurrent runs never share a WAL.
   const std::string dir =
       args.work_dir + "/" + std::to_string(static_cast<long>(getpid()));
   std::filesystem::create_directories(dir);
 
-  std::cout << "host: nproc=" << nproc << " threads=" << threads
+  std::cout << "host: nproc=" << nproc << " threads=" << kThreads
             << " compiler=\"" << compiler() << "\" build=" << PERFBENCH_BUILD_TYPE
             << " git=" << args.git << " seed=" << args.seed
             << " workload=" << def.name << " trace=" << (args.trace ? 1 : 0)
             << " seconds=" << args.seconds << "\n";
 
-  Bench bench(args, def, threads, dir);
+  Bench bench(args, def, kThreads, dir);
   const bool pinned = args.seed == kPinnedSeed;
   bench.expected = pinned ? Expected{def.pinned, def.pinned_prefix}
                           : reference_digests(def, args.seed);
-  std::cout << "expected digests (" << (pinned ? "pinned" : "1-thread run")
+  std::cout << "expected digests ("
+            << (pinned ? std::string("pinned")
+                       : std::to_string(kReferenceThreads) + "-thread run")
             << "): " << hex_list(bench.expected.digests) << "\n";
 
   Report report(bench.gate);

@@ -70,18 +70,21 @@ struct Tail {
 
 inline constexpr std::size_t kTailBeyond = 10;
 
-/// Picks the tail percentile from {50, 90, 99} — the highest one with
-/// >= kTailBeyond samples ranked above it — and returns its value. The
-/// ladder stops at p99: on a shared host p99.9 of a sub-millisecond step
-/// measures other tenants' preemptions more than this program.
-/// A sample too small for even p50 to qualify reports the median rank.
-/// Requires a nonempty sample.
-inline Tail tail(std::vector<double> values) {
+/// Picks the tail percentile from {50, 90, 99}, up to `top_permille` —
+/// the highest one with >= kTailBeyond samples ranked above it — and
+/// returns its value. The ladder stops at p99: on a shared host p99.9 of
+/// a sub-millisecond step measures other tenants' preemptions more than
+/// this program. A sample too small for even p50 to qualify reports the
+/// median rank. Requires a nonempty sample.
+inline Tail tail(std::vector<double> values, std::size_t top_permille = 990) {
   std::sort(values.begin(), values.end());
   const std::size_t n = values.size();
   std::size_t chosen = 500;
   for (const std::size_t permille : {500u, 900u, 990u}) {
-    if (n >= nearest_rank(permille, n) + kTailBeyond) chosen = permille;
+    if (permille <= top_permille &&
+        n >= nearest_rank(permille, n) + kTailBeyond) {
+      chosen = permille;
+    }
   }
   Tail out;
   out.n = n;

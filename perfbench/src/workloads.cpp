@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <filesystem>
+#include <numeric>
 #include <span>
 
 #include "stats.h"
@@ -66,41 +67,36 @@ const std::vector<WorkloadDef>& workloads() {
   // The pinned digests are what route_server_cli prints for the same
   // configuration at --seed 1 (tenants via --tenants) on any --threads;
   // the prefix pins are its digests at --epochs <side_steps>.
-  //
-  // bulk-serve serves 400k queries per epoch: on a shared 4-vCPU host the
-  // per-epoch wake-ups of the worker threads slow by several times during
-  // contention episodes, and at 100k per epoch that fixed cost swung
-  // throughput 3x between interleaved runs (1.2x at 400k).
   static const std::vector<WorkloadDef> defs = {
       {"bulk-serve",
        "large epochs: the per-query serve loop does nearly all the work",
        false,
-       {{"bulk-serve", "random-links-32", "replicator", "closed-loop:400000",
+       {{"bulk-serve", "random-links-32", "replicator", "closed-loop:100000",
          200'000, 32, 16384, 1, 150}},
        16,
-       {0x1f4a3cbd48e4e790},
-       0x61bd3f2e0b3a4bc8},
+       {0xd356210e0517b7f1},
+       0x4eddfb8a5b8585f1},
       {"fine-epochs",
        "tiny epochs: fixed per-epoch costs (plan, graph, fold, board, "
        "summary) dominate",
        false,
        {{"fine-epochs", "multicommodity-grid-3x3", "replicator",
-         "closed-loop:500", 4'000, 8, 16384, 1, 3000}},
+         "closed-loop:200", 4'000, 8, 16384, 1, 3000}},
        400,
-       {0xada2d85487983afe},
-       0xe6a1e8a80b1f3ee8},
+       {0xbee5603da6188ef4},
+       0xb01bd7b87f20c314},
       {"logged-tenants",
        "three tenants on one executor with a WAL: scheduler, combined "
        "graphs, forced splits, latency feedback and log writes",
        true,
        {{"edge", "random-links-32", "replicator", "bursty:1500000,150000,3,2",
-         40'000, 16, 4096, 1, 200},
+         40'000, 16, 4096, 1, 505, 5},
         {"core", "multicommodity-grid-3x3", "replicator",
-         "closed-loop-lat:40000,0.02", 10'000, 16, 16384, 2, 400},
+         "closed-loop-lat:40000,0.02", 10'000, 16, 16384, 2, 1010},
         {"tiny", "braess", "replicator", "closed-loop:2000", 2'000, 16, 16384,
-         1, 200}},
+         1, 505}},
        0,
-       {0x691d8a6b846bbda3, 0x8474dc501d116173, 0xaeee3b63883beb8a}},
+       {0x16c237137bcce726, 0x84a4ff088f2b1408, 0xe57c7e67db4f5595}},
   };
   return defs;
 }
@@ -217,9 +213,16 @@ RunSample run_logged(const std::vector<TenantDef>& tenants,
 }
 
 std::size_t schedule_cycle(const std::vector<TenantDef>& tenants) {
-  std::size_t cycle = 1;
+  std::size_t max_weight = 1;
   for (const TenantDef& tenant : tenants) {
-    cycle = std::max(cycle, tenant.weight);
+    max_weight = std::max(max_weight, tenant.weight);
+  }
+  std::size_t cycle = max_weight;
+  for (const TenantDef& tenant : tenants) {
+    // Schedules of W rounds until the tenant's epochs fill whole periods.
+    const std::size_t schedules =
+        tenant.period / std::gcd(tenant.weight, tenant.period);
+    cycle = std::lcm(cycle, max_weight * schedules);
   }
   return cycle;
 }
@@ -232,11 +235,11 @@ std::vector<TenantDef> logged_tenants(const WorkloadDef& def) {
 }
 
 Expected reference_digests(const WorkloadDef& def, std::uint64_t seed) {
-  Executor inline_executor(1);
+  Executor executor(kReferenceThreads);
   Expected expected;
   if (!def.registry) {
     Host host = make_host(def.tenants.front(), 0, seed);
-    host.options.executor = &inline_executor;
+    host.options.executor = &executor;
     RouteServer server(host.instance, host.policy, *host.workload);
     const RouteServerResult result =
         server.run(FlowVector::uniform(host.instance), host.options);
@@ -249,7 +252,7 @@ Expected reference_digests(const WorkloadDef& def, std::uint64_t seed) {
   std::deque<Host> hosts;
   TenantRegistry registry;
   add_tenants(def.tenants, seed, hosts, registry);
-  const MultiTenantResult result = registry.run(inline_executor);
+  const MultiTenantResult result = registry.run(executor);
   for (const TenantResult& tenant : result.tenants) {
     expected.digests.push_back(telemetry_digest(tenant.server.epochs));
   }

@@ -22,9 +22,22 @@
 namespace perfbench {
 
 /// The seed whose digests are pinned in workloads.cpp. Any other seed is
-/// checked against a single-thread run of the same workload (the
-/// determinism contract makes digests independent of thread count).
+/// checked against a kReferenceThreads-thread run of the same workload
+/// (the determinism contract makes digests independent of thread count).
 inline constexpr std::uint64_t kPinnedSeed = 1;
+
+/// Threads of the Executor every measured run uses: one, the library's
+/// inline mode. The benchmark shares a few cores of a host with other
+/// machines' load; with one worker per core an epoch waits for the
+/// slowest of them, and when the host is contended the wake-ups of
+/// descheduled workers moved step times several-fold between runs of the
+/// same code. One thread keeps the runs comparable.
+inline constexpr std::size_t kThreads = 1;
+
+/// Threads of the reference run a seed other than kPinnedSeed is checked
+/// against. It differs from kThreads, so the check also covers the
+/// thread-count independence of the digests.
+inline constexpr std::size_t kReferenceThreads = 4;
 
 struct TenantDef {
   std::string name;
@@ -36,6 +49,9 @@ struct TenantDef {
   std::size_t sub_batch = 16384;  // RouteServerOptions' default
   std::size_t weight = 1;
   std::size_t epochs = 0;  // per measured run
+  /// Epochs after which the workload's arrival pattern repeats (a bursty
+  /// workload's on + off epochs; 1 for the others).
+  std::size_t period = 1;
 };
 
 struct WorkloadDef {
@@ -119,12 +135,16 @@ RunSample run_logged(const std::vector<TenantDef>& tenants,
                      const std::string& wal_path,
                      const Inspect& inspect = nullptr);
 
-/// Rounds in one cycle of the registry's weighted schedule: every round
+/// Rounds after which a registry serves the same mix again. Every round
 /// adds each tenant's weight to its credit and serves the tenants whose
-/// credit reaches the largest weight, so the set of tenants served
-/// repeats every max-weight rounds. A registry's step is one such cycle,
-/// so that every step serves the same mix (with weights 1, 2, 1 a round
-/// alternately serves `core` alone and all three tenants).
+/// credit reaches the largest weight W, so the set of tenants served
+/// repeats every W rounds, in which a tenant of weight w serves w epochs;
+/// its arrival pattern repeats after `period` of its epochs. The cycle is
+/// the least number of rounds after which both repeat for every tenant.
+/// A registry's step is one such cycle, so that every step serves the
+/// same mix: with weights 1, 2, 1 a round alternately serves `core` alone
+/// and all three tenants, and `edge`'s bursts (3 epochs on, 2 off) make
+/// the cycle 10 rounds.
 std::size_t schedule_cycle(const std::vector<TenantDef>& tenants);
 
 /// The tenants a workload's logged pass serves: the registry's own, or
@@ -137,8 +157,9 @@ struct Expected {
   std::uint64_t prefix = 0;  // solo: digest of the first side_steps epochs
 };
 
-/// The workload served on one thread (no WAL, no tracing): the reference
-/// a seed other than kPinnedSeed is checked against.
+/// The workload served on kReferenceThreads threads (no WAL, no
+/// tracing): the reference a seed other than kPinnedSeed is checked
+/// against.
 Expected reference_digests(const WorkloadDef& def, std::uint64_t seed);
 
 /// One run of the documented EpochEngine host loop (begin / add_epoch /

@@ -72,6 +72,10 @@ void test_tail_rule() {
   std::vector<double> reversed = ramp(1000);
   std::reverse(reversed.begin(), reversed.end());
   CHECK(near(tail(reversed).value, 990.0));
+  // A ladder capped at p90 stops there however many samples qualify.
+  const auto capped = tail(ramp(1000), 900);
+  CHECK(near(capped.percentile, 90.0) && near(capped.value, 900.0));
+  CHECK(near(tail(ramp(9), 900).percentile, 50.0));
 }
 
 void test_per_cycle() {
