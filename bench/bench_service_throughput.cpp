@@ -9,7 +9,7 @@
 //     the historical BENCH_service.json trajectory;
 //   - bursty: skewed on/off load with the sub-batch split threshold
 //     forced low, exercising deterministic work-splitting and the
-//     pipelined epoch snapshot build — the configuration the execution
+//     parallel epoch snapshot build — the configuration the execution
 //     layer exists for.
 // Alongside the human-readable tables it writes BENCH_service.json, the
 // machine-readable perf-trajectory record future PRs diff against. The
@@ -78,11 +78,6 @@ int run_main(int argc, char** argv) {
   options.num_clients = 50'000;
   options.shards = 32;
   options.seed = 42;
-  // Measure the execution layer at full depth: locality placement is
-  // always on, and pipelining overlaps each epoch's telemetry tail with
-  // the next epoch's serving (digest-checked below — the contract says
-  // pipelining may only move wall clock, never values).
-  options.pipeline = true;
 
   std::cout << "service throughput: " << instance.describe() << "\n  "
             << policy.name() << " x " << options.epochs << " epochs, "
@@ -156,7 +151,6 @@ int run_main(int argc, char** argv) {
        << "    \"epochs\": " << options.epochs << ",\n"
        << "    \"clients\": " << options.num_clients << ",\n"
        << "    \"shards\": " << options.shards << ",\n"
-       << "    \"pipeline\": true,\n"
        << "    \"hardware_threads\": " << std::thread::hardware_concurrency()
        << "\n  },\n"
        << "  \"workloads\": [\n";

@@ -18,7 +18,7 @@ std::string encode_run_header(const RunManifest& manifest) {
   binio::Writer w;
   w.u32(kWalVersion);
   w.u8(manifest.multi_tenant ? 1 : 0);
-  w.u8(manifest.pipeline ? 1 : 0);  // v3
+  w.u8(0);  // v3 legacy schedule flag: always written as 0
   w.str(manifest.faults);
   w.u32(static_cast<std::uint32_t>(manifest.tenants.size()));
   for (const TenantManifest& tenant : manifest.tenants) {
@@ -45,9 +45,9 @@ RunManifest decode_run_header(std::string_view payload) {
   binio::Reader r(payload);
   const std::uint32_t version = r.u32();
   // A v3 reader still accepts v2 files: the only layout change is the
-  // pipeline byte (absent in v2, meaning a strict-schedule run). Anything
-  // else is a future format this build cannot decode — which is also how
-  // a v2 reader treats a v3 header.
+  // legacy schedule byte (absent in v2). Anything else is a future format
+  // this build cannot decode — which is also how a v2 reader treats a v3
+  // header.
   if (version != 2 && version != kWalVersion) {
     throw std::runtime_error("WAL header: unknown payload version " +
                              std::to_string(version) +
@@ -56,7 +56,12 @@ RunManifest decode_run_header(std::string_view payload) {
   }
   RunManifest manifest;
   manifest.multi_tenant = r.u8() != 0;
-  if (version >= 3) manifest.pipeline = r.u8() != 0;
+  // The v3 schedule flag: 1 marked a run served with the since-removed
+  // cross-epoch pipelining. Cut bytes never depended on the schedule, so
+  // either value resumes on the one schedule; anything else is corrupt.
+  if (version >= 3 && r.u8() > 1) {
+    throw std::runtime_error("WAL header: bad schedule flag");
+  }
   manifest.faults = r.str();
   const std::uint32_t count = r.u32();
   if (count == 0 || (!manifest.multi_tenant && count != 1)) {
@@ -411,17 +416,6 @@ WalLog::WalLog(const std::string& path, const RecoveredRun& recovered)
   }
 }
 
-void WalLog::log_single_epoch(const EngineCheckpoint& cut) {
-  const std::uint64_t digest =
-      telemetry_digest_accumulate(digests_.at(0), cut.summary);
-  writer_.append(RecordType::kEpochCut, encode_epoch_cut(0, cut, digest));
-  digests_[0] = digest;
-  RoundMark mark;
-  mark.rounds = ++rounds_;
-  mark.credits = {0};
-  writer_.append(RecordType::kRoundMark, encode_round_mark(mark));
-}
-
 void WalLog::log_round(const RoundCheckpoint& round) {
   for (const auto& [tenant, cut] : round.cuts) {
     const std::uint64_t digest =
@@ -440,10 +434,6 @@ void WalLog::log_round(const RoundCheckpoint& round) {
 
 void WalLog::finish() {
   writer_.append(RecordType::kTrailer, encode_trailer(digests_));
-}
-
-CutObserver WalLog::single_observer() {
-  return [this](const EngineCheckpoint& cut) { log_single_epoch(cut); };
 }
 
 RoundCutObserver WalLog::round_observer() {

@@ -16,10 +16,9 @@
 //                round mark. Recovery replays committed rounds only —
 //                the resume truncation offset is the end of the last
 //                round mark, so a crash mid-round loses that round's
-//                cuts, never a committed one. A single-server run
-//                writes the same protocol as a one-tenant registry
-//                (round r = epoch r-1, credits = {0}), making the two
-//                WALs comparable record for record.
+//                cuts, never a committed one. A single-server run IS a
+//                one-tenant registry (round r = epoch r-1, credits =
+//                {0}), so the two WALs match record for record.
 //   kTrailer     clean shutdown: the final per-tenant digests. A WAL
 //                without one is, by definition, a crash image.
 //
@@ -60,13 +59,6 @@ struct TenantManifest {
 
 struct RunManifest {
   bool multi_tenant = false;
-  /// Cross-epoch pipelining was on for this run (v3 headers; v2 files
-  /// decode as false). Cut CONTENT is schedule-independent — the flag is
-  /// logged so a resumed run re-serves with the crashed run's schedule
-  /// instead of silently downgrading to strict, and so tooling knows
-  /// committed cuts trail the crashed process's serving frontier by one
-  /// epoch.
-  bool pipeline = false;
   /// The run's `--faults` spec ("" = healthy). The SPEC is what the WAL
   /// stores — a resumed run re-materializes the schedule from it plus the
   /// logged (seed, epochs), reproducing the exact fault timing of the
@@ -152,8 +144,9 @@ RecoveredRun recover_wal(const std::string& path);
 RegistryResume registry_resume(const RecoveredRun& run);
 
 /// The write side: owns the WalWriter and the round-mark protocol. The
-/// serving CLIs install single_observer()/round_observer() as their
-/// recovery hooks and call finish() after a completed run.
+/// serving CLIs install round_observer() as the recovery hook of either
+/// host (RouteServer::run or TenantRegistry::run) and call finish() after
+/// a completed run.
 class WalLog {
  public:
   /// Fresh run: creates/truncates `path` and writes the run header.
@@ -164,19 +157,12 @@ class WalLog {
   /// round counters where the committed prefix left off.
   WalLog(const std::string& path, const RecoveredRun& recovered);
 
-  /// Single-server hook: logs the epoch's cut and immediately commits it
-  /// with a one-tenant round mark (round e+1, credits {0}) — the exact
-  /// records a one-tenant weight-1 registry would write.
-  void log_single_epoch(const EngineCheckpoint& cut);
-
-  /// Multi-tenant hook: logs every scheduled tenant's cut, then the
-  /// committing round mark.
+  /// Logs every scheduled tenant's cut, then the committing round mark.
   void log_round(const RoundCheckpoint& round);
 
   /// Writes the clean-shutdown trailer (final per-tenant digests).
   void finish();
 
-  CutObserver single_observer();
   RoundCutObserver round_observer();
 
   const std::string& path() const noexcept { return writer_.path(); }

@@ -40,12 +40,10 @@ inline constexpr char kWalMagic[8] = {'S', 'F', 'W', 'A', 'L', '1', '\n', 0};
 /// encoding changes; readers reject versions they don't know (a v3 reader
 /// still accepts v2 files — the superseded layout decodes with defaults).
 /// v2: the run header carries the --faults spec after the tenant flag.
-/// v3: a pipeline flag follows the tenant flag. When set, the run served
-///     with cross-epoch pipelining and its cuts were captured at the
-///     one-epoch overlap boundary — committed cuts trail the crashed
-///     process's serving frontier by one epoch, but their content (and
-///     the record protocol) is identical to a strict run's, and a resume
-///     re-serves with the logged schedule.
+/// v3: a schedule flag byte follows the tenant flag. It marked runs
+///     served with cross-epoch pipelining, since removed; writers emit 0
+///     and readers accept 0 or 1 and ignore it (cut bytes never depended
+///     on the schedule, so every v3 WAL resumes on the one schedule).
 inline constexpr std::uint32_t kWalVersion = 3;
 
 /// Corruption guard: a structurally valid record never exceeds this

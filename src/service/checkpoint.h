@@ -52,11 +52,6 @@ struct EngineCheckpoint {
   LogHistogram route_hist;
 };
 
-/// Called after every finished epoch with that epoch's cut (single-server
-/// WAL hook). Capture cost — copying flow, client paths and the epoch
-/// histogram — is paid only when a observer is installed.
-using CutObserver = std::function<void(const EngineCheckpoint&)>;
-
 /// One finished scheduler round of a TenantRegistry: the post-round
 /// credit state plus the cut of every tenant that served an epoch this
 /// round (registration order). Rounds where credits merely accrued carry
@@ -67,7 +62,9 @@ struct RoundCheckpoint {
   std::vector<std::pair<std::size_t, EngineCheckpoint>> cuts;
 };
 
-/// Called after every scheduler round (multi-tenant WAL hook).
+/// Called after every scheduler round (the WAL hook of both hosts; a solo
+/// run is a one-tenant registry). Capture cost — copying flow, client
+/// paths and the epoch histogram — is paid only when one is installed.
 using RoundCutObserver = std::function<void(const RoundCheckpoint&)>;
 
 /// Restored registry state handed to TenantRegistry::run: per-tenant cut

@@ -60,25 +60,6 @@ void EpochEngine::begin(const FlowVector& initial,
   }
 
   options_ = options;
-  // Pipelining is digest-neutral only when arrivals ignore LoadFeedback:
-  // a feedback workload (closed-loop-lat) falls back to the strict
-  // schedule, its arrivals need the previous epoch's summary. The
-  // fallback is announced — once through the host's notice sink and as a
-  // metrics counter — so a traced run records that the knob was ignored.
-  // Library code never writes to stderr itself: a host without a sink
-  // (sweep cells, tests) gets the counter only.
-  pipelined_ = options.pipeline && !workload_->uses_feedback();
-  if (options.pipeline && !pipelined_) {
-    static trace::Counter& fallback_counter =
-        trace::MetricsRegistry::global().counter("engine.pipeline_fallbacks");
-    fallback_counter.inc();
-    if (options_.notice) {
-      options_.notice("note: pipeline disabled for feedback workload '" +
-                      workload_->name() +
-                      "' (arrivals need the previous epoch's summary); "
-                      "serving the strict schedule");
-    }
-  }
   master_ = Rng(options.seed);
   clients_ = std::make_unique<Population>(*instance_, options.num_clients,
                                           initial.values());
@@ -102,8 +83,9 @@ void EpochEngine::begin(const FlowVector& initial,
   epochs_.reserve(options.epochs);
 }
 
-void EpochEngine::serve_sub_batch(EpochStage& stage, std::size_t b) {
-  detail::SubBatchContext& sub = stage.ctx[b];
+void EpochEngine::serve_sub_batch(std::size_t b) {
+  const EpochStage& stage = stage_;
+  detail::SubBatchContext& sub = stage_.ctx[b];
   const std::size_t s = sub.shard;
   const std::size_t shards = options_.shards;
   // Span over the whole batch, recorded from the worker thread that runs
@@ -196,55 +178,8 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
   }
   epoch_in_flight_ = true;
 
-  if (!pipelined_) {
-    // Strict schedule: one epoch per graph, summary in the same graph
-    // (after fold, overlapping the snapshot build), publish host-side in
-    // finish_epoch. This is the reference node order the pipelined
-    // schedule must reproduce value-for-value.
-    const std::uint64_t e = epochs_done();
-    EpochStage& stage = stages_[e % 2];
-    const std::size_t fold =
-        plan_epoch(graph, stage, e, kNone, /*publish_in_graph=*/false);
-    add_summary_node(graph, stage, {fold});
-    planned_ = e + 1;
-    pending_finish_ = e;
-    return;
-  }
-
-  // Pipelined schedule: the previous epoch's summary runs as a ROOT of
-  // this graph, in parallel with this epoch's serve nodes; fold depends
-  // on it (the summary reads the pre-fold master flow for its Wardrop
-  // gap) and the publish moves in-graph after the CDF nodes. The two
-  // in-flight epochs stage into alternating slots, so they share no
-  // state. The final add_epoch (planned_ == epochs_total()) drains the
-  // last deferred summary on its own.
-  std::size_t summary_node = kNone;
-  if (planned_ > epochs_done()) {
-    EpochStage& prev = stages_[(planned_ - 1) % 2];
-    // The overlap-spanning cut point: right here — host-side, no graph in
-    // flight — epoch planned_-1 is fully served and folded and epoch
-    // planned_'s mutations have not been planned, so the engine state IS
-    // that epoch's boundary state. It is transient (the plan below splits
-    // the master RNG), so snapshot it for the checkpoint() that becomes
-    // answerable once the deferred summary drains.
-    if (capture_cuts_) capture_pending_cut(prev);
-    summary_node = add_summary_node(graph, prev, {});
-    pending_finish_ = planned_ - 1;
-  } else {
-    pending_finish_ = kNone;
-  }
-  if (planned_ < epochs_total()) {
-    const std::uint64_t e = planned_;
-    plan_epoch(graph, stages_[e % 2], e, summary_node,
-               /*publish_in_graph=*/true);
-    planned_ = e + 1;
-  }
-}
-
-std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
-                                    std::uint64_t e,
-                                    std::size_t extra_fold_dep,
-                                    bool publish_in_graph) {
+  const std::uint64_t e = epochs_done();
+  EpochStage& stage = stage_;
   const double T = options_.update_period;
   const std::size_t shards = options_.shards;
   stage.trace_epoch = e;
@@ -339,120 +274,88 @@ std::size_t EpochEngine::plan_epoch(TaskGraph& graph, EpochStage& stage,
   stage.batches = planned;
   ledger_->ensure_slots(stage.batches);
 
-  // The epoch task graph: serve -> fold -> next snapshot build. The
-  // snapshot's board post and per-commodity CDF nodes overlap the summary
-  // tail; everything after fold reads the folded flow, nothing writes
-  // shared state concurrently — and nothing outside this engine at all,
-  // so epochs of distinct engines coexist in one graph. Serve nodes carry
-  // their shard id as the affinity key: every sub-batch of one shard runs
-  // on the same worker lane (cache locality), which never changes what it
-  // computes.
+  // The epoch task graph: serve -> fold -> {next snapshot build,
+  // summary}. The snapshot's board post and per-commodity CDF nodes
+  // overlap the summary tail; everything after fold reads the folded
+  // flow, nothing writes shared state concurrently — and nothing outside
+  // this engine at all, so epochs of distinct engines coexist in one
+  // graph. Serve nodes carry their shard id as the affinity key: every
+  // sub-batch of one shard runs on the same worker lane (cache locality),
+  // which never changes what it computes.
   stage.served = store_->acquire();
   stage.totals = FlowLedger::Totals{};
   stage.next.reset();
   stage.summary = EpochSummary{};
-  EpochStage* slot = &stage;
 
   std::vector<TaskGraph::NodeId> serve_nodes;
   serve_nodes.reserve(stage.batches);
   for (std::size_t b = 0; b < stage.batches; ++b) {
-    serve_nodes.push_back(
-        graph.add([this, slot, b] { serve_sub_batch(*slot, b); }, {},
-                  /*affinity=*/stage.ctx[b].shard));
+    serve_nodes.push_back(graph.add([this, b] { serve_sub_batch(b); }, {},
+                                    /*affinity=*/stage.ctx[b].shard));
   }
-  std::vector<TaskGraph::NodeId> fold_deps = std::move(serve_nodes);
-  if (extra_fold_dep != kNone) fold_deps.push_back(extra_fold_dep);
   const TaskGraph::NodeId fold = graph.add(
-      [this, slot] {
-        slot->totals = ledger_->fold_into(flow_, slot->batches);
-      },
-      std::span<const TaskGraph::NodeId>(fold_deps));
+      [this] { stage_.totals = ledger_->fold_into(flow_, stage_.batches); },
+      std::span<const TaskGraph::NodeId>(serve_nodes));
   const TaskGraph::NodeId post = graph.add(
-      [this, slot, e, T] {
-        slot->next = std::make_shared<BoardSnapshot>(
+      [this, e, T] {
+        stage_.next = std::make_shared<BoardSnapshot>(
             BoardSnapshot::DeferCdf{}, *instance_, *policy_, e + 1,
             static_cast<double>(e + 1) * T, flow_);
       },
       {fold});
-  std::vector<TaskGraph::NodeId> cdf_nodes;
-  cdf_nodes.reserve(instance_->commodity_count());
   for (std::size_t c = 0; c < instance_->commodity_count(); ++c) {
-    cdf_nodes.push_back(graph.add(
-        [this, slot, c] { slot->next->build_cdf(CommodityId{c}); }, {post}));
+    graph.add([this, c] { stage_.next->build_cdf(CommodityId{c}); }, {post});
   }
-  if (publish_in_graph) {
-    // The pipelined phase boundary: the board swap happens inside the
-    // graph, as soon as the snapshot is complete — the NEXT epoch's graph
-    // then serves against the fresh board while this epoch's summary is
-    // still pending.
-    if (cdf_nodes.empty()) cdf_nodes.push_back(post);
-    graph.add(
-        [this, slot] {
-          store_->publish(std::move(slot->next));
-          if (trace::active() && !slot->trace_drop) {
-            trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
-                           slot->trace_epoch + 1, /*arg=*/0, /*value=*/0);
-          }
-        },
-        std::span<const TaskGraph::NodeId>(cdf_nodes));
-  }
-  return fold;
+  graph.add([this] { summarize(); }, {fold});
 }
 
-std::size_t EpochEngine::add_summary_node(
-    TaskGraph& graph, EpochStage& stage,
-    std::initializer_list<std::size_t> deps) {
-  EpochStage* slot = &stage;
-  return graph.add(
-      [this, slot] {
-        const std::uint64_t e = slot->trace_epoch;
-        const double T = options_.update_period;
-        slot->summary.epoch = e;
-        slot->summary.start_time = static_cast<double>(e) * T;
-        slot->summary.end_time = static_cast<double>(e + 1) * T;
-        slot->summary.queries = slot->totals.queries;
-        slot->summary.migrations = slot->totals.migrations;
-        slot->summary.migration_rate =
-            slot->totals.queries > 0
-                ? static_cast<double>(slot->totals.migrations) /
-                      static_cast<double>(slot->totals.queries)
-                : 0.0;
-        slot->summary.wardrop_gap = wardrop_gap(*instance_, flow_);
-        double board_latency = 0.0;
-        double board_volume = 0.0;
-        for (std::size_t p = 0; p < instance_->path_count(); ++p) {
-          board_latency += slot->served->board().path_flow()[p] *
-                           slot->served->board().path_latency()[p];
-          board_volume += slot->served->board().path_flow()[p];
-        }
-        slot->summary.board_latency =
-            board_volume > 0.0 ? board_latency / board_volume : 0.0;
+void EpochEngine::summarize() {
+  EpochStage& stage = stage_;
+  const std::uint64_t e = stage.trace_epoch;
+  const double T = options_.update_period;
+  stage.summary.epoch = e;
+  stage.summary.start_time = static_cast<double>(e) * T;
+  stage.summary.end_time = static_cast<double>(e + 1) * T;
+  stage.summary.queries = stage.totals.queries;
+  stage.summary.migrations = stage.totals.migrations;
+  stage.summary.migration_rate =
+      stage.totals.queries > 0
+          ? static_cast<double>(stage.totals.migrations) /
+                static_cast<double>(stage.totals.queries)
+          : 0.0;
+  stage.summary.wardrop_gap = wardrop_gap(*instance_, flow_);
+  double board_latency = 0.0;
+  double board_volume = 0.0;
+  for (std::size_t p = 0; p < instance_->path_count(); ++p) {
+    board_latency += stage.served->board().path_flow()[p] *
+                     stage.served->board().path_latency()[p];
+    board_volume += stage.served->board().path_flow()[p];
+  }
+  stage.summary.board_latency =
+      board_volume > 0.0 ? board_latency / board_volume : 0.0;
 
-        // Merge per-sub-batch histograms in plan order (the canonical
-        // order the determinism contract fixes) into this epoch's
-        // distribution.
-        slot->epoch_route.reset();
-        for (std::size_t b = 0; b < slot->batches; ++b) {
-          slot->epoch_route.merge(slot->ctx[b].route_hist);
-        }
-        if (!slot->epoch_route.empty()) {
-          slot->summary.route_p50 = slot->epoch_route.quantile(0.5);
-          slot->summary.route_p99 = slot->epoch_route.quantile(0.99);
-          slot->summary.route_p999 = slot->epoch_route.quantile(0.999);
-        }
-        if (options_.record_latency) {
-          slot->epoch_wall.reset();
-          for (std::size_t b = 0; b < slot->batches; ++b) {
-            slot->epoch_wall.merge(slot->ctx[b].wall_hist);
-          }
-          if (!slot->epoch_wall.empty()) {
-            slot->summary.p50_us = slot->epoch_wall.quantile(0.5);
-            slot->summary.p99_us = slot->epoch_wall.quantile(0.99);
-            slot->summary.p999_us = slot->epoch_wall.quantile(0.999);
-          }
-        }
-      },
-      std::span<const std::size_t>(deps.begin(), deps.size()));
+  // Merge per-sub-batch histograms in plan order (the canonical order
+  // the determinism contract fixes) into this epoch's distribution.
+  stage.epoch_route.reset();
+  for (std::size_t b = 0; b < stage.batches; ++b) {
+    stage.epoch_route.merge(stage.ctx[b].route_hist);
+  }
+  if (!stage.epoch_route.empty()) {
+    stage.summary.route_p50 = stage.epoch_route.quantile(0.5);
+    stage.summary.route_p99 = stage.epoch_route.quantile(0.99);
+    stage.summary.route_p999 = stage.epoch_route.quantile(0.999);
+  }
+  if (options_.record_latency) {
+    stage.epoch_wall.reset();
+    for (std::size_t b = 0; b < stage.batches; ++b) {
+      stage.epoch_wall.merge(stage.ctx[b].wall_hist);
+    }
+    if (!stage.epoch_wall.empty()) {
+      stage.summary.p50_us = stage.epoch_wall.quantile(0.5);
+      stage.summary.p99_us = stage.epoch_wall.quantile(0.99);
+      stage.summary.p999_us = stage.epoch_wall.quantile(0.999);
+    }
+  }
 }
 
 void EpochEngine::finish_epoch(double epoch_seconds,
@@ -461,17 +364,10 @@ void EpochEngine::finish_epoch(double epoch_seconds,
     throw std::logic_error("EpochEngine::finish_epoch: no epoch in flight");
   }
   epoch_in_flight_ = false;
-  if (pending_finish_ == kNone) {
-    // First pipelined graph: epoch 0 served but its summary is deferred
-    // into the next graph — nothing to record yet.
-    return;
-  }
-  EpochStage& stage = stages_[pending_finish_ % 2];
-  pending_finish_ = kNone;
+  EpochStage& stage = stage_;
 
   // Phase boundary: the fold tail (summary) and the snapshot build
-  // already ran inside the graph; the strict schedule publishes the
-  // folded flow's board here, a pipelined one published in-graph.
+  // already ran inside the graph; publish the folded flow's board.
   run_route_.merge(stage.epoch_route);
   if (options_.record_latency) {
     run_wall_us_.merge(stage.epoch_wall);
@@ -486,7 +382,7 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   epochs_.push_back(stage.summary);
   if (observer) observer(stage.summary);
 
-  if (!pipelined_) store_->publish(std::move(stage.next));
+  store_->publish(std::move(stage.next));
   stage.served.reset();
 
   static trace::Counter& epochs_counter =
@@ -500,12 +396,9 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   migrations_counter.add(stage.totals.migrations);
 
   if (trace::active() && !stage.trace_drop) {
-    if (!pipelined_) {
-      // The board just swapped: epoch e+1 is now live for readers
-      // (pipelined runs emit this from the in-graph publish node).
-      trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
-                     stage.trace_epoch + 1, /*arg=*/0, /*value=*/0);
-    }
+    // The board just swapped: epoch e+1 is now live for readers.
+    trace::instant(trace::EventKind::kSnapshotPublish, trace_tenant_,
+                   stage.trace_epoch + 1, /*arg=*/0, /*value=*/0);
     trace::TraceEvent epoch_event;
     epoch_event.kind = trace::EventKind::kEpochSpan;
     epoch_event.tenant = trace_tenant_;
@@ -518,50 +411,23 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   }
 }
 
-void EpochEngine::capture_pending_cut(EpochStage& stage) {
-  stage.cut.rng_state = master_.state();
-  stage.cut.flow = flow_;
-  stage.cut.client_paths.clear();
-  stage.cut.client_paths.reserve(clients_->size());
-  for (std::size_t c = 0; c < clients_->size(); ++c) {
-    stage.cut.client_paths.push_back(
-        static_cast<std::uint32_t>(clients_->local_path(c)));
-  }
-  stage.cut.valid = true;
-}
-
 EngineCheckpoint EpochEngine::checkpoint() const {
   if (epoch_in_flight_ || epochs_.empty()) {
     throw std::logic_error(
         "EpochEngine::checkpoint: need a finished epoch and none in "
         "flight");
   }
-  // The just-finished epoch's stage, still holding its parity slot.
-  const EpochStage& stage = stages_[(epochs_.size() - 1) % 2];
   EngineCheckpoint cut;
   cut.summary = epochs_.back();
-  if (pipelined_) {
-    // The live engine state runs one epoch ahead of the last summarized
-    // epoch; the boundary state this cut needs was captured by add_epoch
-    // at the overlap boundary, before the next epoch was planned.
-    if (!stage.cut.valid) {
-      throw std::logic_error(
-          "EpochEngine::checkpoint: pipelined cuts need "
-          "set_cut_capture(true) before the epoch was planned");
-    }
-    cut.rng_state = stage.cut.rng_state;
-    cut.flow = stage.cut.flow;
-    cut.client_paths = stage.cut.client_paths;
-  } else {
-    cut.rng_state = master_.state();
-    cut.flow = flow_;
-    cut.client_paths.reserve(clients_->size());
-    for (std::size_t c = 0; c < clients_->size(); ++c) {
-      cut.client_paths.push_back(
-          static_cast<std::uint32_t>(clients_->local_path(c)));
-    }
+  cut.rng_state = master_.state();
+  cut.flow = flow_;
+  cut.client_paths.reserve(clients_->size());
+  for (std::size_t c = 0; c < clients_->size(); ++c) {
+    cut.client_paths.push_back(
+        static_cast<std::uint32_t>(clients_->local_path(c)));
   }
-  cut.route_hist = stage.epoch_route;
+  // The just-finished epoch's merged route latencies, still staged.
+  cut.route_hist = stage_.epoch_route;
   return cut;
 }
 
@@ -615,10 +481,6 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
     }
     clients_->reassign(c, path);
   }
-
-  // The plan frontier resumes at the restored epoch count — there is no
-  // deferred summary to drain (every restored epoch is fully recorded).
-  planned_ = epochs_.size();
 
   // Re-publish the board the checkpointed process was serving against:
   // the epoch-n post of the restored flow — the same bits finish_epoch

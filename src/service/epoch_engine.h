@@ -16,49 +16,23 @@
 //   }
 //   RouteServerResult result = engine.finish(wall_seconds);
 //
-// RouteServer::run is exactly this loop over one engine. TenantRegistry
-// runs MANY engines by appending several tenants' epochs to ONE combined
-// graph per scheduler round: the engines share no mutable state (each
-// node touches only its own engine), so co-scheduled tenants execute on
-// one shared Executor while every tenant's dynamics stay byte-identical
-// to a solo run — the multi-tenant isolation contract.
+// The serving hosts drive this loop through run_rounds (round_loop.h):
+// each scheduler round appends one epoch of every scheduled engine to ONE
+// combined graph. The engines share no mutable state (each node touches
+// only its own engine), so co-scheduled tenants execute on one shared
+// Executor while every tenant's dynamics stay byte-identical to a solo
+// run — the multi-tenant isolation contract. A solo RouteServer::run is
+// the same loop over one engine of weight 1.
 //
 // Determinism: add_epoch derives this epoch's RNG streams and sub-batch
 // plan host-side, in canonical order, before any node is dispatched
 // (see route_server.h for the full contract). Nothing an engine computes
 // depends on which threads run its nodes or on what other engines' nodes
 // are interleaved with them.
-//
-// Cross-epoch pipelining (options.pipeline, non-feedback workloads only):
-// the engine defers epoch e's summary/telemetry node into the NEXT
-// add_epoch's graph, where it runs as a root in parallel with epoch
-// e+1's serve nodes — the snapshot publish moves in-graph (after the CDF
-// nodes), so epoch e+1 starts serving the fresh board while e's telemetry
-// tail is still merging histograms. fold(e+1) depends on summary(e)
-// (summary reads the pre-fold master flow for its Wardrop gap) and the
-// two epochs stage into alternating slots, so nothing is shared between
-// overlapping epochs. The host protocol is unchanged — the same
-// while (!done()) { add_epoch; run; finish_epoch } loop simply runs
-// epochs+1 iterations (the last one drains the final summary). Every
-// value is derived from the same streams in the same order as the strict
-// schedule, so digests are byte-identical with pipelining on or off.
-//
-// Pipelining composes with the recovery WAL via overlap-spanning cuts:
-// with set_cut_capture(true), a pipelined add_epoch snapshots the
-// boundary state of the epoch it is about to defer (RNG cursor, flow,
-// client paths — captured host-side, when no graph is in flight) into
-// that stage's PendingCut; checkpoint() hands the cut out one graph
-// later, once the deferred summary has drained. Cuts therefore trail the
-// serving frontier by exactly one epoch, but their CONTENT is identical
-// to the strict schedule's — restore() works unchanged, and the first
-// pipelined add_epoch after a resume primes the double-buffer exactly as
-// a fresh begin() does.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -110,60 +84,34 @@ class EpochEngine {
   std::size_t epochs_done() const noexcept { return epochs_.size(); }
   bool done() const noexcept { return epochs_done() >= epochs_total(); }
 
-  /// True when cross-epoch pipelining is active: options.pipeline was set
-  /// AND the workload is feedback-free (a closed-loop-lat tenant silently
-  /// runs the strict schedule — its arrivals need the previous summary).
-  bool pipelined() const noexcept { return pipelined_; }
-
   /// Plans the next epoch (workload arrivals, the deterministic sub-batch
   /// plan, one Rng stream per sub-batch in canonical order) and appends
   /// its serve -> fold -> {board post + per-commodity CDF nodes, summary}
   /// pipeline to `graph`. Serve nodes carry their shard id as the graph
   /// affinity key, so same-shard sub-batches land on the same worker lane
-  /// (locality placement — wall clock only, never values). In pipelined
-  /// mode the graph instead holds the PREVIOUS epoch's deferred summary
-  /// (as a root) plus this epoch's serve/fold/snapshot/publish nodes; the
-  /// final call appends only the last summary. The appended nodes touch
-  /// only this engine, so several engines may append to the same graph.
-  /// Exactly one graph may be in flight per engine: add_epoch / run /
-  /// finish_epoch, in order.
+  /// (locality placement — wall clock only, never values). The appended
+  /// nodes touch only this engine, so several engines may append to the
+  /// same graph. Exactly one graph may be in flight per engine:
+  /// add_epoch / run / finish_epoch, in order.
   void add_epoch(TaskGraph& graph);
 
-  /// Completes the epoch whose summary node ran in the last add_epoch's
-  /// graph (the graph must have run): merges that epoch's histograms into
-  /// the run result, records the summary (calling `observer` if set),
-  /// and — strict schedule only — publishes the next snapshot (pipelined
-  /// runs publish in-graph; the first pipelined call completes nothing).
-  /// `epoch_seconds` is the wall-clock the host measured for the graph
-  /// (used for queries_per_second when latency recording is on; a
-  /// multi-tenant host passes the whole round's wall time, so per-epoch
-  /// qps then reads "queries per round-second").
+  /// Completes the epoch the last add_epoch planned (its graph must have
+  /// run): merges the epoch's histograms into the run result, records the
+  /// summary (calling `observer` if set) and publishes the next snapshot
+  /// — the phase boundary. `epoch_seconds` is the wall-clock the host
+  /// measured for the graph (used for queries_per_second when latency
+  /// recording is on; a multi-tenant host passes the whole round's wall
+  /// time, so per-epoch qps then reads "queries per round-second").
   void finish_epoch(double epoch_seconds, const EpochObserver& observer);
 
   /// Finalizes and returns the run result (final flow and gap, wall-clock
   /// aggregates from `wall_seconds`). The engine is spent afterwards.
   RouteServerResult finish(double wall_seconds);
 
-  /// Tells the engine whether a host observer will ask for checkpoint()s.
-  /// A pipelined engine's boundary state is transient — by the time epoch
-  /// e's summary exists the engine has already planned (and possibly
-  /// folded) epoch e+1 — so with capture on, add_epoch snapshots the
-  /// PendingCut (RNG cursor, flow, client paths) at the overlap boundary
-  /// before planning further. Off by default: un-logged pipelined runs
-  /// pay nothing. Strict engines ignore the flag (their boundary state is
-  /// live whenever checkpoint() may be called). Set before the first
-  /// add_epoch.
-  void set_cut_capture(bool capture) noexcept { capture_cuts_ = capture; }
-
   /// Snapshot of the dynamics state at the last finished epoch's boundary
   /// — the recovery WAL's cut record. Requires at least one finished
-  /// epoch and no epoch in flight. Strict engines read the live state; a
-  /// pipelined engine returns the PendingCut its add_epoch captured at
-  /// the one-epoch overlap boundary (requires set_cut_capture(true)
-  /// before the epoch was planned, else throws) — same bytes, one graph
-  /// later. Restoring the returned cut (plus its predecessors) into a
-  /// fresh engine continues the run bit-identically, under either
-  /// schedule.
+  /// epoch and no epoch in flight. Restoring the returned cut (plus its
+  /// predecessors) into a fresh engine continues the run bit-identically.
   EngineCheckpoint checkpoint() const;
 
   /// Tags this engine's trace events with a tenant id (a TenantRegistry
@@ -185,28 +133,12 @@ class EpochEngine {
   void restore(std::span<const EngineCheckpoint> cuts);
 
  private:
-  /// Everything one in-flight epoch stages: its sub-batch contexts, the
+  /// Everything the in-flight epoch stages: its sub-batch contexts, the
   /// snapshot it served against, the fold totals, the board it builds and
-  /// its telemetry accumulators. Two slots alternate by epoch parity so a
-  /// pipelined run can overlap epoch e+1's serving with epoch e's summary
-  /// without sharing a byte; the strict schedule uses the same slots one
-  /// at a time. The trace fields are wall-clock labelling only —
-  /// trace_drop is true while a drop-telemetry fault window covers the
-  /// epoch (the engine then emits no spans; the kFaultSpan marker itself
-  /// still fires).
-  /// A pipelined epoch's checkpointable boundary state, captured by
-  /// add_epoch at the instant this stage's epoch is the engine frontier
-  /// (post-fold, post-serve, pre-plan of the next epoch) and handed out
-  /// by checkpoint() one graph later, once the summary has drained. The
-  /// strict schedule never fills one — its boundary state is still live
-  /// when checkpoint() runs.
-  struct PendingCut {
-    std::array<std::uint64_t, 4> rng_state{};
-    std::vector<double> flow;
-    std::vector<std::uint32_t> client_paths;
-    bool valid = false;
-  };
-
+  /// its telemetry accumulators. The trace fields are wall-clock
+  /// labelling only — trace_drop is true while a drop-telemetry fault
+  /// window covers the epoch (the engine then emits no spans; the
+  /// kFaultSpan marker itself still fires).
   struct EpochStage {
     std::vector<detail::SubBatchContext> ctx;  // high-water pool
     std::size_t batches = 0;  // sub-batches planned for this epoch
@@ -216,31 +148,13 @@ class EpochEngine {
     EpochSummary summary;
     LogHistogram epoch_route;  // this epoch's merged route latencies
     LogHistogram epoch_wall;   // this epoch's merged service times (us)
-    PendingCut cut;            // pipelined: boundary state for the WAL
     std::uint64_t trace_epoch = 0;
     std::uint64_t trace_begin_ns = 0;
     bool trace_drop = false;
   };
 
-  /// "No epoch" sentinel for pending_finish_.
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  /// Plans epoch `e` into `stage` and appends its serve -> fold -> post ->
-  /// CDF nodes; `extra_fold_dep` (a summary node, pipelined mode) is added
-  /// to fold's dependencies when not kNone; with `publish_in_graph` a
-  /// final node publishes the built snapshot after the CDFs. Returns the
-  /// fold node's id.
-  std::size_t plan_epoch(TaskGraph& graph, EpochStage& stage,
-                         std::uint64_t e, std::size_t extra_fold_dep,
-                         bool publish_in_graph);
-  /// Appends `stage`'s summary/telemetry node with the given deps.
-  std::size_t add_summary_node(TaskGraph& graph, EpochStage& stage,
-                               std::initializer_list<std::size_t> deps);
-  void serve_sub_batch(EpochStage& stage, std::size_t b);
-  /// Copies the engine's current boundary state (RNG cursor, flow, client
-  /// paths) into `stage`'s PendingCut. Only meaningful when called from a
-  /// pipelined add_epoch, host-side, with no graph in flight.
-  void capture_pending_cut(EpochStage& stage);
+  void serve_sub_batch(std::size_t b);
+  void summarize();
 
   const Instance* instance_;
   const Policy* policy_;
@@ -254,12 +168,8 @@ class EpochEngine {
   std::unique_ptr<FlowLedger> ledger_;
   std::vector<std::size_t> shard_clients_;  // clients per logical shard
 
-  EpochStage stages_[2];  // epoch e stages in stages_[e % 2]
+  EpochStage stage_;
   bool epoch_in_flight_ = false;
-  bool pipelined_ = false;
-  bool capture_cuts_ = false;  // pipelined: snapshot PendingCuts for the WAL
-  std::size_t planned_ = 0;         // epochs planned so far (plan frontier)
-  std::size_t pending_finish_ = kNone;  // epoch the next finish_epoch records
 
   std::uint32_t trace_tenant_ = 0;
 

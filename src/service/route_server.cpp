@@ -4,8 +4,8 @@
 #include <stdexcept>
 
 #include "exec/executor.h"
-#include "faults/fault_plan.h"
 #include "service/epoch_engine.h"
+#include "service/round_loop.h"
 #include "util/stopwatch.h"
 
 namespace staleflow {
@@ -17,16 +17,13 @@ RouteServer::RouteServer(const Instance& instance, const Policy& policy,
 RouteServerResult RouteServer::run(const FlowVector& initial,
                                    const RouteServerOptions& options,
                                    const EpochObserver& observer,
-                                   const CutObserver& cuts,
+                                   const RoundCutObserver& rounds,
                                    std::span<const EngineCheckpoint> resume) {
-  // The per-epoch pipeline lives in EpochEngine (shared with the
-  // multi-tenant registry); a solo run is one engine driven to exhaustion
-  // on its own (or a borrowed) executor. A pipelined engine can serve the
-  // cut observer too — it captures each epoch's boundary state at the
-  // overlap boundary and hands the cut out one graph later.
+  // A solo run is a one-tenant registry: one engine of weight 1 served by
+  // the registry's round loop, so rounds equal epochs and the WAL, the
+  // crash gate and the trace are the registry's.
   EpochEngine engine(*instance_, *policy_, *workload_, store_);
   engine.begin(initial, options);
-  engine.set_cut_capture(static_cast<bool>(cuts));
   engine.restore(resume);
 
   // The execution layer: borrowed from the caller (shared-pool mode, e.g.
@@ -41,29 +38,18 @@ RouteServerResult RouteServer::run(const FlowVector& initial,
     exec = owned_executor.get();
   }
 
-  const Stopwatch run_watch;
-  while (!engine.done()) {
-    TaskGraph graph;
-    engine.add_epoch(graph);
-    const Stopwatch epoch_watch;
-    exec->run(graph);
-    const std::size_t recorded = engine.epochs_done();
-    engine.finish_epoch(epoch_watch.seconds(), observer);
-    // A cut exists only when an epoch actually closed — a pipelined run's
-    // priming graph records nothing (its first summary is still deferred).
-    if (cuts && engine.epochs_done() > recorded) cuts(engine.checkpoint());
-    // The crash point fires AFTER the cut observer so the WAL holds
-    // exactly the epochs a resumed run must replay — and only on an
-    // iteration that actually committed one, mirroring the cut gate
-    // above. crash_after is stateless and a resumed run re-materializes
-    // the same --faults spec, so without the progress gate a pipelined
-    // resume's priming iteration (which closes no epoch) would
-    // re-evaluate the clause at the restored count and re-crash every
-    // resume at the same commit point, forever.
-    if (options.faults != nullptr && engine.epochs_done() > recorded &&
-        options.faults->crash_after(engine.epochs_done()))
-      faults::crash_process(engine.epochs_done());
+  TenantObserver tenant_observer;
+  if (observer) {
+    tenant_observer = [&observer](std::size_t, const EpochSummary& summary) {
+      observer(summary);
+    };
   }
+  const RoundTenant tenant{&engine, 1};
+  RoundState state;
+  state.rounds = resume.size();
+  const Stopwatch run_watch;
+  run_rounds(std::span(&tenant, 1), *exec, std::move(state), tenant_observer,
+             rounds, options.faults);
   return engine.finish(run_watch.seconds());
 }
 

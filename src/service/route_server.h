@@ -25,7 +25,7 @@
 // telemetry differs. With the default sub_batch_queries, batches below
 // the split threshold reproduce the PR-2/PR-3 per-shard dynamics exactly.
 //
-// Epochs are pipelined as a task graph (src/exec/): serve nodes feed a
+// Each epoch runs as a task graph (src/exec/): serve nodes feed a
 // fold node, which feeds BOTH the next snapshot's build (board post, then
 // one CDF node per commodity) and the telemetry summary node, so the
 // snapshot build overlaps the summary tail instead of serializing after
@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/policy.h"
@@ -103,20 +102,6 @@ struct RouteServerOptions {
   /// fixed sub_batch_queries, with its own digest.
   bool sub_batch_auto = false;
 
-  /// Cross-epoch pipelining: overlap epoch e+1's serving with epoch e's
-  /// summary/telemetry tail. A runtime knob like `threads` — digests and
-  /// dynamics are byte-identical either way. Composes with the
-  /// checkpoint/WAL path (`cuts`): the engine captures each epoch's
-  /// boundary state at the one-epoch overlap boundary and emits the cut
-  /// one graph behind the serving frontier, with content identical to the
-  /// strict schedule's. The v3 WAL run header records the flag (not in
-  /// the per-tenant options payload) so a resumed run re-serves with the
-  /// same schedule instead of silently downgrading to strict.
-  /// Auto-disabled for feedback workloads (closed-loop-lat reads the
-  /// previous epoch's summary) — announced through the `notice` sink and
-  /// an `engine.pipeline_fallbacks` counter bump, never silently.
-  bool pipeline = false;
-
   /// Pin worker lane i to CPU core i where available (silently a no-op
   /// otherwise). Runtime-only wall-clock placement, never semantics;
   /// ignored when `executor` is set (the borrowed executor's owner
@@ -134,15 +119,6 @@ struct RouteServerOptions {
   /// digest-neutral; a crash clause _Exit(137)s the process right after
   /// the matching commit point. Must outlive run().
   const faults::FaultSchedule* faults = nullptr;
-
-  /// Sink for the engine's rare one-line human-facing notices (today:
-  /// the pipeline-to-strict fallback for a feedback workload). Library
-  /// code never writes to stderr itself — the host decides where notices
-  /// go (the CLIs print them unless --quiet; embedders like the sweep
-  /// runner and tests stay silent by default). nullptr = drop the text;
-  /// the metrics counters tick either way. A runtime hook like
-  /// `executor` — never serialized into the WAL.
-  std::function<void(const std::string&)> notice = nullptr;
 
   /// Record wall-clock per-query service time into per-shard
   /// LogHistograms. Off = deterministic replay mode: all telemetry fields
@@ -189,8 +165,12 @@ class RouteServer {
   /// `initial`. Throws std::invalid_argument on a non-positive update
   /// period, zero epochs, a shard/client mismatch or an infeasible start.
   ///
-  /// Recovery hooks: `cuts`, when set, is called after every finished
-  /// epoch with that epoch's EngineCheckpoint (the WAL write path);
+  /// A solo run is a one-tenant registry (round_loop.h): one engine of
+  /// weight 1, so round r serves epoch r-1.
+  ///
+  /// Recovery hooks: `rounds`, when set, is called after every finished
+  /// epoch with its round checkpoint — round e+1, credits {0}, and the
+  /// epoch's cut as tenant 0 (the WAL write path, WalLog::log_round);
   /// `resume`, when nonempty, must be the checkpoints of epochs 0..n-1 of
   /// an identically configured run — the server restores them and serves
   /// only the remaining epochs, and the result (telemetry digest, final
@@ -198,13 +178,13 @@ class RouteServer {
   RouteServerResult run(const FlowVector& initial,
                         const RouteServerOptions& options,
                         const EpochObserver& observer = nullptr,
-                        const CutObserver& cuts = nullptr,
+                        const RoundCutObserver& rounds = nullptr,
                         std::span<const EngineCheckpoint> resume = {});
 
   /// Read side: the currently published snapshot (nullptr before the
   /// first epoch of a run). Safe to call concurrently with run() — this
   /// is the RCU read path external query threads would use.
-  SnapshotPtr snapshot() const noexcept { return store_.acquire(); }
+  SnapshotPtr snapshot() const { return store_.acquire(); }
 
  private:
   const Instance* instance_;

@@ -5,13 +5,13 @@
 // BoardSnapshot wraps one frozen BulletinBoard together with everything a
 // query needs precomputed (per-commodity sampling CDFs, one binary search
 // per query), and the SnapshotStore swaps snapshots RCU-style: readers
-// acquire() a shared_ptr without ever taking a lock, writers publish() the
+// acquire() a shared_ptr copy under a short lock, writers publish() the
 // next epoch and the old board dies when its last reader drops it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -25,7 +25,7 @@ namespace staleflow {
 /// threads once fully constructed (i.e. after every CDF is built).
 class BoardSnapshot {
  public:
-  /// Tag selecting the two-phase build used by the pipelined epoch loop.
+  /// Tag selecting the two-phase build used by the epoch task graph.
   struct DeferCdf {};
 
   /// Posts `path_flow` at time `now` and precomputes the sampling CDF of
@@ -67,22 +67,31 @@ class BoardSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const BoardSnapshot>;
 
-/// Atomically swappable current-snapshot holder. acquire() and publish()
-/// may race freely; a reader keeps its snapshot alive for as long as it
-/// holds the pointer, so queries never observe a half-updated board.
+/// Swappable current-snapshot holder. acquire() and publish() may race
+/// freely; a reader keeps its snapshot alive for as long as it holds the
+/// pointer, so queries never observe a half-updated board. The lock
+/// guards only the pointer copy (a serving task acquires once per
+/// sub-batch, never per query) — libstdc++'s std::atomic<shared_ptr>
+/// store is reported racy by ThreadSanitizer.
 class SnapshotStore {
  public:
   /// Current snapshot, or nullptr before the first publish().
-  SnapshotPtr acquire() const noexcept {
-    return current_.load(std::memory_order_acquire);
+  SnapshotPtr acquire() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return current_;
   }
 
-  void publish(SnapshotPtr next) noexcept {
-    current_.store(std::move(next), std::memory_order_release);
+  void publish(SnapshotPtr next) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      current_.swap(next);
+    }
+    // `next` now holds the previous board: release it outside the lock.
   }
 
  private:
-  std::atomic<SnapshotPtr> current_;
+  mutable std::mutex mutex_;
+  SnapshotPtr current_;
 };
 
 }  // namespace staleflow

@@ -4,11 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exec/executor.h"
-#include "faults/fault_plan.h"
 #include "service/epoch_engine.h"
-#include "trace/metrics.h"
-#include "trace/recorder.h"
 #include "util/stopwatch.h"
 
 namespace staleflow {
@@ -105,8 +101,12 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
   // options before ANY tenant serves, so a bad tenant fails the run
   // up front instead of mid-multiplex.
   std::vector<std::unique_ptr<EpochEngine>> engines;
+  std::vector<RoundTenant> round_tenants;
   engines.reserve(tenants_.size());
-  std::size_t max_weight = 1;
+  // Crash-fault lookup: the registry crashes on ROUND commit points, so
+  // any tenant's schedule (they share one --faults spec in the CLI; the
+  // first non-null pointer wins) drives the whole host's crash clause.
+  const faults::FaultSchedule* fault_plan = nullptr;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     Tenant& tenant = tenants_[i];
     engines.push_back(std::make_unique<EpochEngine>(
@@ -114,119 +114,26 @@ MultiTenantResult TenantRegistry::run(Executor& executor,
     engines.back()->set_trace_tenant(static_cast<std::uint32_t>(i));
     engines.back()->begin(FlowVector::uniform(*tenant.instance),
                           tenant.options.server);
-    // Pipelined engines must snapshot their overlap-boundary state for
-    // the round cuts; capture is free for strict engines.
-    engines.back()->set_cut_capture(static_cast<bool>(rounds));
     if (resume != nullptr && !resume->cuts.empty()) {
       engines.back()->restore(resume->cuts[i]);
     }
-    max_weight = std::max(max_weight, tenant.options.weight);
+    round_tenants.push_back({engines.back().get(), tenant.options.weight});
+    if (fault_plan == nullptr) fault_plan = tenant.options.server.faults;
   }
 
-  // Weighted round-robin over epochs. Credits are a pure function of the
-  // weights and the tenants' epoch budgets: the round schedule — and with
-  // it every tenant's interleaving — is deterministic, though no tenant's
-  // *outcome* depends on it (isolation contract). A resumed run picks the
-  // credit vector up at the checkpointed round boundary. Under the
-  // strict schedule the remaining rounds are exactly the ones the
-  // uninterrupted run would have executed. Under --pipeline they are
-  // NOT: a round mark's credits include credit already spent on overlap
-  // epochs that were served but not yet drained (no cut committed for
-  // them in that round), so a resumed pipelined tenant restarts one
-  // epoch behind a credit state that says the epoch was paid for,
-  // shifting its remaining interleaving relative to the uninterrupted
-  // run. Digests still match ONLY because of the isolation contract —
-  // per-tenant outcomes are independent of round interleaving. A
-  // scheduler change that lets one tenant's dynamics observe another's
-  // progress (or the round number) would silently break pipelined
-  // resume; the pipelined multi-tenant resume tests pin this.
+  // A resumed run picks the round counter and credit vector up at the
+  // checkpointed round boundary, so the remaining rounds are exactly the
+  // ones the uninterrupted run would have executed.
+  RoundState state;
+  if (resume != nullptr) {
+    state.rounds = resume->rounds;
+    state.credits = resume->credits;
+  }
   MultiTenantResult result;
-  std::vector<std::size_t> credits(tenants_.size(), 0);
-  if (resume != nullptr && !resume->credits.empty()) {
-    credits = resume->credits;
-  }
-  if (resume != nullptr) result.rounds = resume->rounds;
-  std::vector<std::size_t> scheduled;
-  std::vector<std::size_t> drained;  // scheduled tenants that closed an epoch
-  // Crash-fault lookup: the registry crashes on ROUND commit points, so
-  // any tenant's schedule (they share one --faults spec in the CLI; the
-  // first non-null pointer wins) drives the whole host's crash clause.
-  const faults::FaultSchedule* fault_plan = nullptr;
-  for (const Tenant& tenant : tenants_) {
-    if (tenant.options.server.faults != nullptr) {
-      fault_plan = tenant.options.server.faults;
-      break;
-    }
-  }
   const Stopwatch run_watch;
-  for (;;) {
-    scheduled.clear();
-    drained.clear();
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-      if (engines[i]->done()) continue;
-      credits[i] += tenants_[i].options.weight;
-      if (credits[i] >= max_weight) {
-        credits[i] -= max_weight;
-        scheduled.push_back(i);
-      }
-    }
-    const bool all_done = std::all_of(
-        engines.begin(), engines.end(),
-        [](const std::unique_ptr<EpochEngine>& e) { return e->done(); });
-    if (all_done) break;
-    ++result.rounds;
-    static trace::Counter& rounds_counter =
-        trace::MetricsRegistry::global().counter("registry.rounds");
-    rounds_counter.inc();
-    if (!scheduled.empty()) {
-      trace::Span round_span(trace::EventKind::kSchedulerRound,
-                             /*tenant=*/0, /*epoch=*/0,
-                             /*arg=*/scheduled.size());
-      round_span.value(result.rounds);
-      // One combined graph: one epoch per scheduled tenant. The engines'
-      // nodes share no mutable state, so the pool interleaves tenants
-      // freely — this is where co-tenancy actually overlaps work.
-      TaskGraph graph;
-      for (const std::size_t i : scheduled) {
-        engines[i]->add_epoch(graph);
-      }
-      const Stopwatch round_watch;
-      executor.run(graph);
-      const double round_seconds = round_watch.seconds();
-      for (const std::size_t i : scheduled) {
-        EpochObserver epoch_observer;
-        if (observer) {
-          epoch_observer = [&observer, i](const EpochSummary& summary) {
-            observer(i, summary);
-          };
-        }
-        const std::size_t recorded = engines[i]->epochs_done();
-        engines[i]->finish_epoch(round_seconds, epoch_observer);
-        if (engines[i]->epochs_done() > recorded) drained.push_back(i);
-      }
-    }
-    if (rounds) {
-      // The round's WAL cut: even a credits-only round is checkpointed —
-      // the credit vector changed, and resume must restart from exactly
-      // this boundary. A round commits cuts only for tenants whose
-      // overlap has drained (an epoch actually closed): a pipelined
-      // tenant's priming round contributes no cut, and its cuts
-      // thereafter trail its serving frontier by one epoch.
-      RoundCheckpoint cut;
-      cut.rounds = result.rounds;
-      cut.credits = credits;
-      cut.cuts.reserve(drained.size());
-      for (const std::size_t i : drained) {
-        cut.cuts.emplace_back(i, engines[i]->checkpoint());
-      }
-      rounds(cut);
-    }
-    // The crash point fires AFTER the round's cut observer, mirroring the
-    // solo server: the WAL holds exactly the committed rounds.
-    if (fault_plan != nullptr && fault_plan->crash_after(result.rounds)) {
-      faults::crash_process(result.rounds);
-    }
-  }
+  result.rounds = run_rounds(round_tenants, executor, std::move(state),
+                             observer, rounds, fault_plan)
+                      .rounds;
   result.wall_seconds = run_watch.seconds();
 
   result.tenants.reserve(tenants_.size());

@@ -5,18 +5,12 @@
 // selfish clients; a production host runs MANY such boards — independent
 // tenants, each with its own scenario, policy, workload, client fleet,
 // snapshot store and telemetry stream — on one worker pool. TenantRegistry
-// is that host. Each tenant is an EpochEngine; a scheduler round builds
-// one combined TaskGraph holding one epoch per scheduled tenant (the
-// engines share no mutable state, so their serve/fold/snapshot nodes
-// interleave freely on the pool) and runs it on the caller's Executor.
-//
-// Scheduling is weighted round-robin over epochs: per round every
-// unfinished tenant accrues `weight` credits and runs one epoch when its
-// credits reach the registry's maximum weight — so a weight-w tenant
-// serves w epochs for every max_weight rounds, and tenants of different
-// sizes make proportional progress. All weights 1 (the default) is plain
-// round-robin. The schedule is a pure function of the weights and epoch
-// budgets — never of threads or timing.
+// is that host. Each tenant is an EpochEngine, served by the weighted
+// round-robin host loop of round_loop.h on the caller's Executor: a
+// weight-w tenant serves w epochs for every max_weight rounds, and all
+// weights 1 (the default) is plain round-robin. The schedule is a pure
+// function of the weights and epoch budgets — never of threads or
+// timing.
 //
 // Isolation contract (pinned by tests/tenant_test.cpp, `ctest -L
 // tenant`): a tenant's deterministic telemetry — its per-epoch FNV digest,
@@ -36,6 +30,7 @@
 #include "core/policy.h"
 #include "net/instance.h"
 #include "service/checkpoint.h"
+#include "service/round_loop.h"
 #include "service/route_server.h"
 #include "service/snapshot.h"
 #include "service/workload.h"
@@ -70,12 +65,6 @@ struct MultiTenantResult {
   std::size_t total_queries() const noexcept;
   std::size_t total_epochs() const noexcept;
 };
-
-/// Called at every finished epoch with the tenant's registration index
-/// and the epoch's summary. Invoked on the driving thread, between
-/// scheduler rounds, in registration order within a round.
-using TenantObserver =
-    std::function<void(std::size_t tenant, const EpochSummary&)>;
 
 class TenantRegistry {
  public:

@@ -41,13 +41,6 @@ class WorkloadGenerator {
                                Rng& rng) const = 0;
 
   virtual std::string name() const = 0;
-
-  /// True when arrivals() actually reads `feedback` (the closed-loop-lat
-  /// back-pressure shape). Cross-epoch pipelining is only digest-safe for
-  /// non-feedback workloads — epoch e+1's arrivals must not depend on
-  /// epoch e's summary — so EpochEngine auto-disables `--pipeline` when
-  /// this returns true.
-  virtual bool uses_feedback() const { return false; }
 };
 
 using WorkloadPtr = std::unique_ptr<const WorkloadGenerator>;

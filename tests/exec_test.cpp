@@ -278,10 +278,10 @@ TEST(ThreadPoolDeathTest, DestructorTerminatesOnUncollectedException) {
 
 /// The property the execution layer exists for: with sub-batch splitting
 /// forced (tiny split threshold, skewed bursty load), the route service
-/// dynamics are byte-identical across 1, 2 and 8 worker threads — in
-/// EVERY combination of thread pinning and cross-epoch pipelining. The
-/// locality placement map is always on, so this also pins that sticky
-/// shard->lane routing never reaches the values.
+/// dynamics are byte-identical across 1, 2 and 8 worker threads, with
+/// thread pinning on and off. The locality placement map is always on,
+/// so this also pins that sticky shard->lane routing never reaches the
+/// values.
 TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   const Instance instance = uniform_parallel_links(8, 0.5, 1.0);
   const Policy policy = make_replicator_policy(instance);
@@ -296,7 +296,7 @@ TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   options.seed = 23;
   options.record_latency = false;
 
-  // Reference: the strict single-threaded schedule, no knobs.
+  // Reference: single-threaded, no knobs.
   RouteServer reference_server(instance, policy, *workload);
   const RouteServerResult reference =
       reference_server.run(FlowVector::uniform(instance), options);
@@ -307,39 +307,35 @@ TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (const bool pin : {false, true}) {
-      for (const bool pipeline : {false, true}) {
-        if (threads == 1 && !pin && !pipeline) continue;  // the reference
-        options.threads = threads;
-        options.pin = pin;
-        options.pipeline = pipeline;
-        RouteServer server(instance, policy, *workload);
-        const RouteServerResult result =
-            server.run(FlowVector::uniform(instance), options);
-        const std::string label = std::to_string(threads) + " threads pin=" +
-                                  std::to_string(pin) +
-                                  " pipeline=" + std::to_string(pipeline);
-        EXPECT_EQ(telemetry_digest(result.epochs),
-                  telemetry_digest(reference.epochs))
-            << label;
-        ASSERT_EQ(result.epochs.size(), reference.epochs.size()) << label;
-        for (std::size_t e = 0; e < reference.epochs.size(); ++e) {
-          EXPECT_EQ(result.epochs[e].queries, reference.epochs[e].queries);
-          EXPECT_EQ(result.epochs[e].migrations,
-                    reference.epochs[e].migrations);
-          EXPECT_EQ(result.epochs[e].wardrop_gap,
-                    reference.epochs[e].wardrop_gap);
-          EXPECT_EQ(result.epochs[e].route_p50, reference.epochs[e].route_p50);
-          EXPECT_EQ(result.epochs[e].route_p999,
-                    reference.epochs[e].route_p999);
-        }
-        for (std::size_t p = 0; p < reference.final_flow.size(); ++p) {
-          EXPECT_EQ(result.final_flow.values()[p],
-                    reference.final_flow.values()[p])
-              << label;
-        }
-        // Histogram equality is exact: same counts, extremes and sum.
-        EXPECT_TRUE(result.route_latency == reference.route_latency) << label;
+      if (threads == 1 && !pin) continue;  // the reference
+      options.threads = threads;
+      options.pin = pin;
+      RouteServer server(instance, policy, *workload);
+      const RouteServerResult result =
+          server.run(FlowVector::uniform(instance), options);
+      const std::string label =
+          std::to_string(threads) + " threads pin=" + std::to_string(pin);
+      EXPECT_EQ(telemetry_digest(result.epochs),
+                telemetry_digest(reference.epochs))
+          << label;
+      ASSERT_EQ(result.epochs.size(), reference.epochs.size()) << label;
+      for (std::size_t e = 0; e < reference.epochs.size(); ++e) {
+        EXPECT_EQ(result.epochs[e].queries, reference.epochs[e].queries);
+        EXPECT_EQ(result.epochs[e].migrations,
+                  reference.epochs[e].migrations);
+        EXPECT_EQ(result.epochs[e].wardrop_gap,
+                  reference.epochs[e].wardrop_gap);
+        EXPECT_EQ(result.epochs[e].route_p50, reference.epochs[e].route_p50);
+        EXPECT_EQ(result.epochs[e].route_p999,
+                  reference.epochs[e].route_p999);
       }
+      for (std::size_t p = 0; p < reference.final_flow.size(); ++p) {
+        EXPECT_EQ(result.final_flow.values()[p],
+                  reference.final_flow.values()[p])
+            << label;
+      }
+      // Histogram equality is exact: same counts, extremes and sum.
+      EXPECT_TRUE(result.route_latency == reference.route_latency) << label;
     }
   }
 }

@@ -227,11 +227,11 @@ struct FaultedRun {
   }
 
   RouteServerResult run(const FaultSchedule* schedule,
-                        const CutObserver& cuts = nullptr,
+                        const RoundCutObserver& rounds = nullptr,
                         std::span<const EngineCheckpoint> resume = {}) {
     options.faults = schedule;
     RouteServer server(instance, policy, *workload);
-    return server.run(FlowVector::uniform(instance), options, nullptr, cuts,
+    return server.run(FlowVector::uniform(instance), options, nullptr, rounds,
                       resume);
   }
 };
@@ -303,8 +303,10 @@ TEST(FaultDigest, ResumedFaultedRunMatchesUninterruptedFaultedRun) {
                                  fixture.options.epochs);
 
   std::vector<EngineCheckpoint> cuts;
-  const RouteServerResult full = fixture.run(
-      &schedule, [&cuts](const EngineCheckpoint& c) { cuts.push_back(c); });
+  const RouteServerResult full =
+      fixture.run(&schedule, [&cuts](const RoundCheckpoint& round) {
+        cuts.push_back(round.cuts.front().second);
+      });
   const std::uint64_t golden = telemetry_digest(full.epochs);
   ASSERT_EQ(cuts.size(), fixture.options.epochs);
 

@@ -5,13 +5,12 @@
 // byte of its write-ahead log — a torn tail, a clean record boundary, a
 // flipped bit — and recover_wal + resume reproduce the uninterrupted
 // run's deterministic telemetry byte for byte: same per-epoch digests,
-// same final flow, same route-latency histogram. The contract holds
-// under BOTH execution schedules: strict epoch-at-a-time and cross-epoch
-// pipelining (--pipeline), whose overlap-spanning cuts must be byte-
-// identical to strict ones. The protocol invariants ride along: cut
-// records commit only at round marks, a single-server WAL is
-// record-for-record identical to a one-tenant registry's, the v3 header
-// records the pipeline flag (v2 files decode as strict), and the
+// same final flow, same route-latency histogram. The protocol invariants
+// ride along: cut records commit only at round marks, a single-server
+// WAL is record-for-record identical to a one-tenant registry's, the v3
+// header's legacy schedule flag is written as 0 and ignored on read (v2
+// files and WALs written by pipelined runs of earlier builds still
+// resume — the latter pinned by checked-in crash images), and the
 // CLI-facing recovery flags fail closed (exit 2) on conflicting or
 // unusable paths.
 #include <gtest/gtest.h>
@@ -20,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -37,8 +37,8 @@
 #include "net/generators.h"
 #include "recovery/recovery.h"
 #include "service/service.h"
+#include "sweep/scenario.h"
 #include "sweep/spec.h"
-#include "trace/metrics.h"
 #include "util/binio.h"
 #include "util/fnv.h"
 #include "util/log_histogram.h"
@@ -284,10 +284,10 @@ struct SingleRun {
     options.record_latency = false;
   }
 
-  RouteServerResult run(const CutObserver& cuts = nullptr,
+  RouteServerResult run(const RoundCutObserver& rounds = nullptr,
                         std::span<const EngineCheckpoint> resume = {}) {
     RouteServer server(instance, policy, *workload);
-    return server.run(FlowVector::uniform(instance), options, nullptr, cuts,
+    return server.run(FlowVector::uniform(instance), options, nullptr, rounds,
                       resume);
   }
 
@@ -305,6 +305,13 @@ struct SingleRun {
   }
 };
 
+/// A round observer that collects a solo run's epoch cuts in order.
+RoundCutObserver collect_cuts(std::vector<EngineCheckpoint>& cuts) {
+  return [&cuts](const RoundCheckpoint& round) {
+    for (const auto& [tenant, cut] : round.cuts) cuts.push_back(cut);
+  };
+}
+
 /// Resumes a single-server WAL file to completion and returns the whole
 /// run's digest (the resumed process's view).
 std::uint64_t resume_single_to_completion(const std::string& path,
@@ -313,7 +320,7 @@ std::uint64_t resume_single_to_completion(const std::string& path,
   EXPECT_FALSE(state.clean_shutdown);
   recovery::WalLog log(path, state);
   const RouteServerResult result =
-      fixture.run(log.single_observer(), std::span(state.cuts.front()));
+      fixture.run(log.round_observer(), std::span(state.cuts.front()));
   log.finish();
   return telemetry_digest(result.epochs);
 }
@@ -324,7 +331,7 @@ TEST(Resume, KillAtEveryCutPointResumesBitIdentically) {
   SingleRun fixture;
   std::vector<EngineCheckpoint> cuts;
   const RouteServerResult full =
-      fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); });
+      fixture.run(collect_cuts(cuts));
   ASSERT_EQ(cuts.size(), fixture.options.epochs);
   const std::uint64_t golden = telemetry_digest(full.epochs);
   ASSERT_GT(full.total_migrations, 0u);  // dynamics actually moved
@@ -346,7 +353,7 @@ TEST(Resume, KillAtEveryCutPointResumesBitIdentically) {
 TEST(Resume, RejectsCutsThatDoNotFitTheConfiguration) {
   SingleRun fixture;
   std::vector<EngineCheckpoint> cuts;
-  fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); });
+  fixture.run(collect_cuts(cuts));
 
   std::vector<EngineCheckpoint> gap = {cuts[0], cuts[2]};  // not contiguous
   EXPECT_THROW(fixture.run(nullptr, gap), std::invalid_argument);
@@ -368,7 +375,7 @@ TEST(WalLog, CleanRunRoundTripsThroughRecoverWal) {
   std::uint64_t golden = 0;
   {
     recovery::WalLog log(path, fixture.manifest());
-    const RouteServerResult full = fixture.run(log.single_observer());
+    const RouteServerResult full = fixture.run(log.round_observer());
     log.finish();
     golden = telemetry_digest(full.epochs);
   }
@@ -404,7 +411,7 @@ TEST(WalLog, KilledAtAnyByteResumesToTheSameDigest) {
   std::uint64_t golden = 0;
   {
     recovery::WalLog log(clean_path, fixture.manifest());
-    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
+    golden = telemetry_digest(fixture.run(log.round_observer()).epochs);
     log.finish();
   }
   const std::string clean = read_file(clean_path);
@@ -439,7 +446,7 @@ TEST(WalLog, BitFlippedCutRecoversToLastGoodEpoch) {
   std::uint64_t golden = 0;
   {
     recovery::WalLog log(path, fixture.manifest());
-    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
+    golden = telemetry_digest(fixture.run(log.round_observer()).epochs);
     log.finish();
   }
   std::string bytes = read_file(path);
@@ -461,168 +468,63 @@ TEST(WalLog, BitFlippedCutRecoversToLastGoodEpoch) {
   EXPECT_EQ(resume_single_to_completion(path, resumed_fixture), golden);
 }
 
-// ------------------------- pipelining × WAL (overlap-spanning cuts)
+// ---------------------------------------------- crash gate on resume
 
-TEST(PipelinedCuts, MatchStrictCutsFieldForField) {
-  SingleRun strict;
-  std::vector<EngineCheckpoint> strict_cuts;
-  strict.run([&](const EngineCheckpoint& c) { strict_cuts.push_back(c); });
-
-  SingleRun pipelined;
-  pipelined.options.pipeline = true;
-  std::vector<EngineCheckpoint> pipe_cuts;
-  pipelined.run([&](const EngineCheckpoint& c) { pipe_cuts.push_back(c); });
-
-  // Cut CONTENT is schedule-independent: the overlap-spanning capture in
-  // pipelined mode must produce the exact bytes the strict schedule logs.
-  ASSERT_EQ(pipe_cuts.size(), strict_cuts.size());
-  for (std::size_t e = 0; e < strict_cuts.size(); ++e) {
-    EXPECT_EQ(pipe_cuts[e].rng_state, strict_cuts[e].rng_state) << "cut " << e;
-    EXPECT_EQ(pipe_cuts[e].flow, strict_cuts[e].flow) << "cut " << e;
-    EXPECT_EQ(pipe_cuts[e].client_paths, strict_cuts[e].client_paths)
-        << "cut " << e;
-    EXPECT_TRUE(pipe_cuts[e].route_hist == strict_cuts[e].route_hist)
-        << "cut " << e;
-    EXPECT_EQ(telemetry_digest(std::span(&pipe_cuts[e].summary, 1)),
-              telemetry_digest(std::span(&strict_cuts[e].summary, 1)))
-        << "cut " << e;
-  }
-}
-
-TEST(Resume, PipelinedKillAtEveryCutPointResumesBitIdentically) {
-  SingleRun fixture;
-  fixture.options.pipeline = true;
-  std::vector<EngineCheckpoint> cuts;
-  const RouteServerResult full =
-      fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); });
-  ASSERT_EQ(cuts.size(), fixture.options.epochs);
-  const std::uint64_t golden = telemetry_digest(full.epochs);
-
-  // The pinnable property: pipelined digest == strict 1-thread digest.
-  SingleRun strict;
-  ASSERT_EQ(telemetry_digest(strict.run().epochs), golden);
-
-  for (std::size_t k = 0; k <= cuts.size(); ++k) {
-    // Resume under the pipelined schedule...
-    const RouteServerResult resumed =
-        fixture.run(nullptr, std::span(cuts).subspan(0, k));
-    EXPECT_EQ(telemetry_digest(resumed.epochs), golden) << "cut " << k;
-    EXPECT_TRUE(resumed.route_latency == full.route_latency) << "cut " << k;
-    EXPECT_EQ(resumed.total_queries, full.total_queries) << "cut " << k;
-    // ...and under the strict one: a cut restores into either schedule.
-    SingleRun strict_resume;
-    EXPECT_EQ(telemetry_digest(
-                  strict_resume.run(nullptr, std::span(cuts).subspan(0, k))
-                      .epochs),
-              golden)
-        << "cut " << k;
-  }
-}
-
-TEST(WalLog, PipelinedKilledAtAnyByteResumesToTheSameDigest) {
-  SingleRun fixture;
-  fixture.options.pipeline = true;
-  recovery::RunManifest manifest = fixture.manifest();
-  manifest.pipeline = true;
-  const std::string clean_path = temp_path("pipekillbytes.wal");
-  std::uint64_t golden = 0;
-  {
-    recovery::WalLog log(clean_path, manifest);
-    golden = telemetry_digest(fixture.run(log.single_observer()).epochs);
-    log.finish();
-  }
-  // Strict cross-check: the pipelined WAL describes the strict dynamics.
-  SingleRun strict;
-  ASSERT_EQ(telemetry_digest(strict.run().epochs), golden);
-
-  const std::string clean = read_file(clean_path);
-  const recovery::WalScan scan = recovery::scan_wal(clean_path);
-  std::vector<std::size_t> prefixes;
-  for (std::size_t i = 0; i + 1 < scan.records.size(); ++i) {
-    prefixes.push_back(scan.records[i].end_offset);      // boundary
-    prefixes.push_back(scan.records[i].end_offset + 5);  // torn mid-record
-  }
-  const std::string crash_path = temp_path("pipekillbytes_crash.wal");
-  for (const std::size_t keep : prefixes) {
-    write_file(crash_path, clean.substr(0, keep));
-    // The header's pipeline flag survives every crash image...
-    const recovery::RecoveredRun probe = recovery::recover_wal(crash_path);
-    EXPECT_TRUE(probe.manifest.pipeline) << "killed at byte " << keep;
-    // ...and the resumed run, honoring it, lands on the same digest.
-    SingleRun resumed_fixture;
-    resumed_fixture.options.pipeline = true;
-    EXPECT_EQ(resume_single_to_completion(crash_path, resumed_fixture),
-              golden)
-        << "killed at byte " << keep;
-    const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
-    EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;
-    EXPECT_EQ(healed.digests[0], golden) << "killed at byte " << keep;
-  }
-}
-
-TEST(PipelinedFallback, FeedbackWorkloadServesStrictAndBumpsCounter) {
-  trace::Counter& fallbacks =
-      trace::MetricsRegistry::global().counter("engine.pipeline_fallbacks");
-
-  SingleRun strict;
-  strict.workload = make_workload("closed-loop-lat:400,0.01");
-  strict.options.epochs = 4;
-  const std::uint64_t golden = telemetry_digest(strict.run().epochs);
-  const std::uint64_t before = fallbacks.load();
-
-  // Same feedback workload with --pipeline: the engine must fall back to
-  // the strict schedule (identical telemetry), count the fallback, and
-  // announce it through the host's notice sink — exactly once, and only
-  // there (library code never prints itself; no sink = counter only).
-  SingleRun pipelined;
-  pipelined.workload = make_workload("closed-loop-lat:400,0.01");
-  pipelined.options.epochs = 4;
-  pipelined.options.pipeline = true;
-  std::vector<std::string> notices;
-  pipelined.options.notice = [&notices](const std::string& message) {
-    notices.push_back(message);
-  };
-  EXPECT_EQ(telemetry_digest(pipelined.run().epochs), golden);
-  EXPECT_EQ(fallbacks.load(), before + 1);
-  ASSERT_EQ(notices.size(), 1u);
-  EXPECT_NE(notices[0].find("pipeline disabled for feedback workload"),
-            std::string::npos);
-  EXPECT_NE(notices[0].find("closed-loop-lat"), std::string::npos);
-}
-
-TEST(ResumeDeathTest, PipelinedResumeOfCrashFaultRunMakesProgress) {
+TEST(ResumeDeathTest, ResumeOfCrashFaultRunMakesProgress) {
   // A run under --faults "crash:at=4" _Exit(137)s right after commit
   // point 4 hits the WAL, and the resumed process re-materializes the
   // SAME schedule from the logged spec — crash_after is stateless. The
-  // host's crash check must therefore fire only on iterations that
-  // committed NEW progress: a pipelined resume's priming iteration
-  // closes no epoch, so re-evaluating the clause at the restored count
-  // there would re-crash every resume at commit point 4 with zero new
-  // progress — an unrecoverable loop. Run the resume in a death-test
-  // child so a regression shows up as exit 137, not a dead test binary.
+  // host's one crash gate counts rounds and fires only after a round
+  // commits, so a resume starting at round 4 first commits round 5 and
+  // never re-evaluates the clause at the restored count — it finishes
+  // instead of re-crashing at commit point 4 forever. Checked solo and as
+  // a one-tenant registry, in death-test children so a regression shows
+  // up as exit 137, not a dead test binary.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
 
   SingleRun fixture;
-  fixture.options.pipeline = true;
   std::vector<EngineCheckpoint> cuts;
-  const std::uint64_t golden = telemetry_digest(
-      fixture.run([&cuts](const EngineCheckpoint& c) { cuts.push_back(c); })
-          .epochs);
+  const std::uint64_t golden =
+      telemetry_digest(fixture.run(collect_cuts(cuts)).epochs);
   ASSERT_GT(cuts.size(), 4u);
+  const std::span<const EngineCheckpoint> image =
+      std::span(cuts).subspan(0, 4);
+  const auto crash_schedule = [&fixture] {
+    return faults::FaultSchedule::materialize(
+        faults::parse_fault_plan("crash:at=4"), fixture.options.seed,
+        fixture.options.epochs);
+  };
 
   EXPECT_EXIT(
       {
-        const faults::FaultSchedule schedule =
-            faults::FaultSchedule::materialize(
-                faults::parse_fault_plan("crash:at=4"),
-                fixture.options.seed, fixture.options.epochs);
-        // The crash image: 4 committed cuts, same spec, pipelined.
+        const faults::FaultSchedule schedule = crash_schedule();
         SingleRun resumed;
-        resumed.options.pipeline = true;
         resumed.options.faults = &schedule;
-        const RouteServerResult result =
-            resumed.run(nullptr, std::span(cuts).subspan(0, 4));
+        const RouteServerResult result = resumed.run(nullptr, image);
         std::_Exit(telemetry_digest(result.epochs) == golden ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  EXPECT_EXIT(
+      {
+        const faults::FaultSchedule schedule = crash_schedule();
+        TenantOptions options;
+        options.server = fixture.options;
+        options.server.faults = &schedule;
+        TenantRegistry registry;
+        registry.add("solo", fixture.instance, fixture.policy,
+                     *fixture.workload, options);
+        RegistryResume resume;
+        resume.rounds = image.size();
+        resume.credits = {0};
+        resume.cuts = {image};
+        Executor executor(1);
+        const MultiTenantResult result =
+            registry.run(executor, nullptr, nullptr, &resume);
+        std::_Exit(telemetry_digest(result.tenants[0].server.epochs) ==
+                           golden
+                       ? 0
+                       : 1);
       },
       ::testing::ExitedWithCode(0), "");
 }
@@ -640,7 +542,7 @@ TEST(WalProtocol, SingleServerMatchesOneTenantRegistryRecordForRecord) {
   const std::string single_path = temp_path("proto_single.wal");
   {
     recovery::WalLog log(single_path, fixture.manifest());
-    fixture.run(log.single_observer());
+    fixture.run(log.round_observer());
     log.finish();
   }
 
@@ -687,7 +589,6 @@ struct MultiRun {
   TenantOptions options_a;
   TenantOptions options_b;
   TenantOptions options_c;
-  bool pipeline = false;
 
   MultiRun() {
     options_a.server.update_period = 0.1;
@@ -711,15 +612,6 @@ struct MultiRun {
     options_c.weight = 1;
   }
 
-  /// Switches every tenant to the pipelined schedule (the registry
-  /// pipelines per engine; the manifest records the run-level flag).
-  void enable_pipeline() {
-    pipeline = true;
-    options_a.server.pipeline = true;
-    options_b.server.pipeline = true;
-    options_c.server.pipeline = true;
-  }
-
   void add_tenants(TenantRegistry& registry) const {
     registry.add("alpha", braess_instance, braess_policy, *workload_a,
                  options_a);
@@ -731,7 +623,6 @@ struct MultiRun {
   recovery::RunManifest manifest() const {
     recovery::RunManifest m;
     m.multi_tenant = true;
-    m.pipeline = pipeline;
     recovery::TenantManifest alpha;
     alpha.name = "alpha";
     alpha.scenario = "braess";
@@ -818,76 +709,47 @@ TEST(WalLog, MultiTenantKilledMidRunResumesBitIdentically) {
   }
 }
 
-TEST(WalLog, PipelinedThreeTenantsKilledMidRunResumeBitIdentically) {
-  // Strict reference digests first: the pipelined run, every crash image,
-  // and every resumed run must all land on exactly these.
-  MultiRun strict;
-  const std::vector<std::uint64_t> golden = tenant_digests(strict.run());
-
-  MultiRun fixture;
-  fixture.enable_pipeline();
-  const std::string path = temp_path("multipipe.wal");
-  {
-    recovery::WalLog log(path, fixture.manifest());
-    EXPECT_EQ(tenant_digests(fixture.run(log.round_observer())), golden);
-    log.finish();
-  }
-
-  const std::string bytes = read_file(path);
-  const recovery::WalScan scan = recovery::scan_wal(path);
-  const std::string crash_path = temp_path("multipipe_crash.wal");
-  for (std::size_t i = 0; i + 1 < scan.records.size(); i += 2) {
-    for (const std::size_t keep :
-         {scan.records[i].end_offset, scan.records[i].end_offset + 7}) {
-      write_file(crash_path, bytes.substr(0, keep));
-      const recovery::RecoveredRun state = recovery::recover_wal(crash_path);
-      ASSERT_FALSE(state.clean_shutdown);
-      EXPECT_TRUE(state.manifest.pipeline) << "killed at byte " << keep;
-      recovery::WalLog log(crash_path, state);
-      const RegistryResume resume = recovery::registry_resume(state);
-      MultiRun resumed_fixture;
-      resumed_fixture.enable_pipeline();
-      const MultiTenantResult resumed =
-          resumed_fixture.run(log.round_observer(), &resume);
-      log.finish();
-      EXPECT_EQ(tenant_digests(resumed), golden) << "killed at byte " << keep;
-
-      const recovery::RecoveredRun healed = recovery::recover_wal(crash_path);
-      EXPECT_TRUE(healed.clean_shutdown) << "killed at byte " << keep;
-      EXPECT_EQ(healed.digests, golden) << "killed at byte " << keep;
-    }
-  }
-}
-
 // ------------------------------------------- WAL header version skew
 
-TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
+TEST(WalHeader, V3WritesLegacyFlagZeroAndReadsOldHeaders) {
   SingleRun fixture;
-  recovery::RunManifest manifest = fixture.manifest();
-  manifest.pipeline = true;
-  const std::string v3 = recovery::encode_run_header(manifest);
+  const std::string v3 = recovery::encode_run_header(fixture.manifest());
 
-  // Wire layout under test: u32 version (LE), u8 multi_tenant, u8
-  // pipeline — the pipeline byte is exactly what v3 added.
+  // Wire layout under test: u32 version (LE), u8 multi_tenant, u8 legacy
+  // schedule flag — the byte v3 added, set by pipelined runs of earlier
+  // builds and now always written as 0.
   binio::Reader head(v3);
   ASSERT_EQ(recovery::kWalVersion, 3u);
   EXPECT_EQ(head.u32(), recovery::kWalVersion);
   EXPECT_EQ(head.u8(), 0u);  // multi_tenant
-  EXPECT_EQ(head.u8(), 1u);  // pipeline
+  EXPECT_EQ(head.u8(), 0u);  // legacy schedule flag
 
   const recovery::RunManifest decoded = recovery::decode_run_header(v3);
-  EXPECT_TRUE(decoded.pipeline);
   ASSERT_EQ(decoded.tenants.size(), 1u);
   EXPECT_EQ(decoded.tenants[0].options.epochs, fixture.options.epochs);
 
-  // A v2 header is the same payload minus the pipeline byte. Splice it
-  // out and patch the version word: a v3 reader must accept it and
-  // default pipeline off — every pre-existing WAL stays resumable.
+  // A header an earlier pipelined run wrote (flag 1) decodes to the same
+  // manifest: cut bytes never depended on the schedule.
+  std::string flagged = v3;
+  flagged[5] = 1;
+  const recovery::RunManifest old_pipelined =
+      recovery::decode_run_header(flagged);
+  ASSERT_EQ(old_pipelined.tenants.size(), 1u);
+  EXPECT_EQ(old_pipelined.tenants[0].workload, "closed-loop:800");
+  EXPECT_EQ(old_pipelined.tenants[0].options.seed, fixture.options.seed);
+
+  // Any other flag value was never written: fail closed.
+  std::string bad_flag = v3;
+  bad_flag[5] = 2;
+  EXPECT_THROW(recovery::decode_run_header(bad_flag), std::runtime_error);
+
+  // A v2 header is the same payload minus the flag byte. Splice it out
+  // and patch the version word: a v3 reader must accept it — every
+  // pre-existing WAL stays resumable.
   std::string v2 = v3;
   v2.erase(5, 1);
   v2[0] = 2;
   const recovery::RunManifest old = recovery::decode_run_header(v2);
-  EXPECT_FALSE(old.pipeline);
   ASSERT_EQ(old.tenants.size(), 1u);
   EXPECT_EQ(old.tenants[0].scenario, "braess");
   EXPECT_EQ(old.tenants[0].workload, "closed-loop:800");
@@ -900,6 +762,119 @@ TEST(WalHeader, V3RecordsPipelineAndReadsV2) {
   std::string v4 = v3;
   v4[0] = 4;
   EXPECT_THROW(recovery::decode_run_header(v4), std::runtime_error);
+}
+
+// ------------------------------- WALs written by pipelined runs
+
+// Crash images checked in under tests/data/, written by an earlier build
+// whose --pipeline schedule deferred each epoch's summary into the next
+// epoch's graph: its cuts trailed the serving frontier by one epoch, and
+// its registry round marks carried credits for epochs that were served
+// but not yet logged. Both images are the first bytes of a complete
+// `route_server_cli run ... --deterministic --pipeline --wal` log, cut
+// mid-record (a torn tail). Resuming them on the one schedule must land
+// on the digests that build printed for the uninterrupted runs.
+
+std::string test_data(const std::string& name) {
+  return std::string(STALEFLOW_TEST_DATA_DIR) + "/" + name;
+}
+
+/// The live objects behind one logged tenant, built the way
+/// route_server_cli rebuilds them on --resume.
+struct LoggedHost {
+  Instance instance;
+  Policy policy;
+  WorkloadPtr workload;
+
+  explicit LoggedHost(const recovery::TenantManifest& manifest)
+      : instance(make_instance(manifest)),
+        policy(named_policy(manifest.policy)
+                   .make(instance, manifest.options.update_period)),
+        workload(make_workload(manifest.workload)) {}
+
+  static Instance make_instance(const recovery::TenantManifest& manifest) {
+    Rng scenario_rng(manifest.options.seed);
+    return ScenarioRegistry::builtin().at(manifest.scenario).make(
+        scenario_rng);
+  }
+};
+
+TEST(LegacyWal, PipelinedSoloCrashImageResumesToItsDigest) {
+  // --scenario braess --policy replicator --period 0.1 --epochs 12
+  // --clients 100 --workload closed-loop:300 --shards 4 --seed 3, cut at
+  // byte 4000 (inside epoch 5's cut record).
+  const std::string path = temp_path("legacy_solo.wal");
+  write_file(path, read_file(test_data("pipelined_solo.wal")));
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  ASSERT_FALSE(state.manifest.multi_tenant);
+  EXPECT_TRUE(state.truncated);
+  EXPECT_FALSE(state.clean_shutdown);
+  ASSERT_EQ(state.cuts.size(), 1u);
+  EXPECT_EQ(state.cuts[0].size(), 5u);
+  EXPECT_EQ(state.rounds, 5u);
+
+  const recovery::TenantManifest& tenant = state.manifest.tenants[0];
+  const LoggedHost host(tenant);
+  RouteServerOptions options = tenant.options;
+  options.threads = 2;
+  constexpr std::uint64_t kGolden = 0x648bc7397d7ca65dULL;
+  {
+    recovery::WalLog log(path, state);
+    RouteServer server(host.instance, host.policy, *host.workload);
+    const RouteServerResult result =
+        server.run(FlowVector::uniform(host.instance), options, nullptr,
+                   log.round_observer(), state.cuts[0]);
+    log.finish();
+    EXPECT_EQ(telemetry_digest(result.epochs), kGolden);
+    EXPECT_EQ(result.epochs.size(), 12u);
+  }
+  const recovery::RecoveredRun healed = recovery::recover_wal(path);
+  EXPECT_TRUE(healed.clean_shutdown);
+  EXPECT_EQ(healed.digests[0], kGolden);
+}
+
+TEST(LegacyWal, PipelinedTwoTenantCrashImageResumesToItsDigests) {
+  // --tenants 'a:workload=closed-loop:300;b:workload=closed-loop:500,
+  // weight=2' --period 0.1 --epochs 8 --clients 100 --shards 4 --seed 5,
+  // cut at byte 5000. Weight 2 is the maximum, so b serves every round
+  // and a every other round: after 5 strict rounds b would have 5 epochs
+  // and a 2. The pipelined image commits only 4 and 1 — round 5's
+  // credits already paid for the overlap epochs it never logged.
+  const std::string path = temp_path("legacy_tenants.wal");
+  write_file(path, read_file(test_data("pipelined_two_tenants.wal")));
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  ASSERT_TRUE(state.manifest.multi_tenant);
+  ASSERT_EQ(state.manifest.tenants.size(), 2u);
+  EXPECT_TRUE(state.truncated);
+  EXPECT_EQ(state.rounds, 5u);
+  EXPECT_EQ(state.cuts[0].size(), 1u);
+  EXPECT_EQ(state.cuts[1].size(), 4u);
+  EXPECT_EQ(state.manifest.tenants[1].weight, 2u);
+
+  std::deque<LoggedHost> hosts;
+  TenantRegistry registry;
+  for (const recovery::TenantManifest& tenant : state.manifest.tenants) {
+    hosts.emplace_back(tenant);
+    TenantOptions options;
+    options.server = tenant.options;
+    options.weight = tenant.weight;
+    registry.add(tenant.name, hosts.back().instance, hosts.back().policy,
+                 *hosts.back().workload, options);
+  }
+  const std::vector<std::uint64_t> golden = {0x0f741faabeedefc9ULL,
+                                             0xf3d1389aefaccdf8ULL};
+  {
+    recovery::WalLog log(path, state);
+    const RegistryResume resume = recovery::registry_resume(state);
+    Executor executor(2);
+    const MultiTenantResult result =
+        registry.run(executor, nullptr, log.round_observer(), &resume);
+    log.finish();
+    EXPECT_EQ(tenant_digests(result), golden);
+  }
+  const recovery::RecoveredRun healed = recovery::recover_wal(path);
+  EXPECT_TRUE(healed.clean_shutdown);
+  EXPECT_EQ(healed.digests, golden);
 }
 
 // ------------------------------------------------- CLI recovery flags

@@ -149,10 +149,7 @@ inline void require_writable(const std::string& path,
 /// is a conflict, not an override — silently ignoring a `--seed` that
 /// disagrees with the WAL would misreport what the run did. Runtime knobs
 /// (threads, csv, report-every, quiet) stay legal; they are not dynamics
-/// configuration. `--pipeline` is deliberately NOT a config key: the v3
-/// WAL header records the logged schedule and a resume honors it, so an
-/// agreeing flag is harmless — the tool itself rejects a contradictory
-/// one after reading the header (exit 2, fail closed).
+/// configuration.
 inline void validate_recovery_flags(
     const RecoveryFlags& recovery,
     const std::map<std::string, std::string>& flags,

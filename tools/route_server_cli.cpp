@@ -5,7 +5,7 @@
 //                        [--period <T>] [--epochs <n>] [--clients <n>]
 //                        [--workload <spec>] [--shards <k>]
 //                        [--sub-batch <q>|auto] [--threads <k>]
-//                        [--pin] [--pipeline]
+//                        [--pin]
 //                        [--seed <s>] [--deterministic] [--csv <path>]
 //                        [--tenants <spec>[;<spec>...]]
 //                        [--wal <path> | --resume <path>]
@@ -20,16 +20,9 @@
 // With --deterministic, wall-clock latency recording is off and the CSV
 // holds only deterministic columns — byte-identical for any --threads.
 //
-// --pin and --pipeline are runtime performance knobs, digest-neutral
-// like --threads: --pin pins worker lane i to CPU core i (silently a
-// no-op where unavailable); --pipeline overlaps each epoch's summary
-// tail with the next epoch's serving. Pipelining composes with
-// --wal/--resume — cuts are captured at the one-epoch overlap boundary
-// and commit one graph behind the serving frontier — except for the
-// feedback-driven closed-loop-lat workload, where the engine falls back
-// to the strict schedule (stderr notice + engine.pipeline_fallbacks
-// counter) and the WAL paths reject the flag up front so the logged
-// header never misdescribes the run.
+// --pin is a runtime performance knob, digest-neutral like --threads:
+// it pins worker lane i to CPU core i (silently a no-op where
+// unavailable).
 //
 // --tenants switches to multi-tenant mode: each ;-separated spec
 // (<name>[:key=value,...], keys scenario/policy/workload/clients/shards/
@@ -38,7 +31,8 @@
 // the top-level flags (seed defaults to --seed + tenant position). Every
 // tenant gets its own digest[<name>]= line and, with --csv out.csv, its
 // own out.<name>.csv — per-tenant telemetry that is byte-identical to
-// the same tenant served alone, at any --threads.
+// the same tenant served alone, at any --threads. A plain run is served
+// the same way, as a one-tenant registry; it prints a plain digest= line.
 //
 // Crash recovery (src/recovery/): --wal <path> writes a write-ahead
 // epoch log — the run's full configuration, then every epoch's cut —
@@ -48,11 +42,8 @@
 // run's. --resume takes the ENTIRE dynamics configuration from the WAL
 // header, so configuration flags (--scenario, --seed, --epochs, ...)
 // conflict with it; runtime knobs (--threads, --csv, --report-every,
-// --quiet, --trace, --progress) remain legal. The pipeline setting is
-// honored from the logged header (a v3 field) — a resumed pipelined run
-// re-serves pipelined; passing --pipeline is legal only when the header
-// agrees, and a contradiction exits 2. Inspect or re-execute a WAL
-// offline with wal_replay_cli.
+// --quiet, --trace, --progress) remain legal. Inspect or re-execute a
+// WAL offline with wal_replay_cli.
 //
 // Fault injection (src/faults/): --faults <spec> schedules typed faults
 // (shard slowdowns, worker stalls, dropped telemetry, tenant brownouts,
@@ -77,8 +68,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,9 +93,7 @@ constexpr const char* kRecoveryGrammar =
     "recovery:  --wal <path> logs every epoch cut to a write-ahead log;\n"
     "           --resume <path> continues a crashed run from its WAL\n"
     "           (configuration flags conflict — the WAL header is the\n"
-    "           configuration; --threads/--csv/--report-every/--quiet ok;\n"
-    "           the logged pipeline setting is honored, --pipeline must\n"
-    "           agree with it)\n";
+    "           configuration; --threads/--csv/--report-every/--quiet ok)\n";
 constexpr const char* kTraceGrammar =
     "tracing:   --trace <path> records a binary trace for trace_dump_cli\n"
     "           (digest-neutral); --progress <n> prints a stderr\n"
@@ -135,7 +122,7 @@ const std::set<std::string> kConfigFlags = {
       "                       [--period <T>] [--epochs <n>] [--clients <n>]\n"
       "                       [--workload <spec>] [--shards <k>]\n"
       "                       [--sub-batch <q>|auto] [--threads <k>]\n"
-      "                       [--pin] [--pipeline]\n"
+      "                       [--pin]\n"
       "                       [--seed <s>] [--deterministic] [--csv <path>]\n"
       "                       [--tenants <spec>[;<spec>...]]\n"
       "                       [--wal <path> | --resume <path>]\n"
@@ -273,47 +260,35 @@ void print_resume_banner(const recovery::RecoveredRun& state, bool quiet) {
   std::cout << "\n";
 }
 
-/// Shared tail of every single-server run (fresh, WAL-logged or
-/// resumed): summary lines, digest, CSV.
-int print_single_result(const RouteServerResult& result,
-                        const RouteServerOptions& options,
-                        const std::string& csv_path, bool quiet) {
-  std::cout << result.total_queries << " queries, "
-            << result.total_migrations << " migrations over "
-            << result.epochs.size() << " epochs; final gap "
-            << fmt(result.final_gap, 6) << "\n";
-  if (options.record_latency) {
-    std::cout << "throughput " << fmt(result.queries_per_second / 1e6, 3)
-              << " Mq/s (" << fmt(result.wall_seconds, 2) << " s wall), p50 "
-              << fmt(result.p50_us, 1) << " us, p99 "
-              << fmt(result.p99_us, 1) << " us\n";
-  }
-  std::cout << "digest=" << std::hex << telemetry_digest(result.epochs)
-            << std::dec << "\n";
-  if (!csv_path.empty()) {
-    write_epoch_csv(csv_path, result.epochs, options.record_latency);
-    if (!quiet) std::cout << "wrote " << csv_path << "\n";
-  }
-  return 0;
-}
-
-/// Shared tail of every multi-tenant run.
-int print_multi_result(const MultiTenantResult& result, bool record_latency,
-                       const std::string& csv_path, bool quiet) {
+/// Prints a run's result: per tenant its summary line, digest and CSV —
+/// `digest=` and the CSV path as given for a plain run, `digest[name]=`
+/// and out.<name>.csv per tenant of a --tenants run, then the aggregate.
+void print_result(const MultiTenantResult& result, bool multi_tenant,
+                  bool record_latency, const std::string& csv_path,
+                  bool quiet) {
   for (const TenantResult& tenant : result.tenants) {
-    std::cout << "tenant " << tenant.name << ": "
-              << tenant.server.total_queries << " queries, "
-              << tenant.server.total_migrations << " migrations over "
-              << tenant.server.epochs.size() << " epochs; final gap "
-              << fmt(tenant.server.final_gap, 6) << "\n";
-    std::cout << "digest[" << tenant.name << "]=" << std::hex
-              << telemetry_digest(tenant.server.epochs) << std::dec << "\n";
+    const RouteServerResult& run = tenant.server;
+    if (multi_tenant) std::cout << "tenant " << tenant.name << ": ";
+    std::cout << run.total_queries << " queries, " << run.total_migrations
+              << " migrations over " << run.epochs.size()
+              << " epochs; final gap " << fmt(run.final_gap, 6) << "\n";
+    if (record_latency && !multi_tenant) {
+      std::cout << "throughput " << fmt(run.queries_per_second / 1e6, 3)
+                << " Mq/s (" << fmt(run.wall_seconds, 2) << " s wall), p50 "
+                << fmt(run.p50_us, 1) << " us, p99 " << fmt(run.p99_us, 1)
+                << " us\n";
+    }
+    std::cout << (multi_tenant ? "digest[" + tenant.name + "]=" : "digest=")
+              << std::hex << telemetry_digest(run.epochs) << std::dec
+              << "\n";
     if (!csv_path.empty()) {
-      const std::string path = tenant_csv_path(csv_path, tenant.name);
-      write_epoch_csv(path, tenant.server.epochs, record_latency);
+      const std::string path =
+          multi_tenant ? tenant_csv_path(csv_path, tenant.name) : csv_path;
+      write_epoch_csv(path, run.epochs, record_latency);
       if (!quiet) std::cout << "wrote " << path << "\n";
     }
   }
+  if (!multi_tenant) return;
   std::cout << result.total_queries() << " queries over "
             << result.total_epochs() << " epochs in " << result.rounds
             << " rounds";
@@ -325,96 +300,79 @@ int print_multi_result(const MultiTenantResult& result, bool record_latency,
               << " epochs/s aggregate";
   }
   std::cout << "\n";
-  return 0;
 }
 
-EpochObserver make_epoch_observer(std::size_t total_epochs,
-                                  std::size_t report_every, bool quiet) {
-  if (quiet || report_every == 0) return nullptr;
-  return [report_every, total_epochs](const EpochSummary& e) {
-    if (e.epoch % report_every != 0 && e.epoch + 1 != total_epochs) {
-      return;
-    }
-    std::cout << "  epoch " << e.epoch << ": " << e.queries
-              << " queries, migration rate " << fmt(e.migration_rate, 4)
-              << ", gap " << fmt(e.wardrop_gap, 6) << ", board latency "
-              << fmt(e.board_latency, 4);
-    if (e.queries_per_second > 0.0) {
-      std::cout << ", " << fmt(e.queries_per_second / 1e6, 2)
-                << " Mq/s, p99 " << fmt(e.p99_us, 1) << " us";
-    }
-    std::cout << "\n";
-  };
-}
-
-/// Multi-tenant mode: host every --tenants spec on one shared executor.
-/// `resume`, when set, replaces spec resolution entirely — the manifests
-/// come from the WAL — and `wal_path` is the file being appended to.
-int run_tenants_manifest(const std::string& wal_path,
-                         const recovery::RunManifest& manifest,
-                         const recovery::RecoveredRun* resume,
-                         std::size_t threads, bool pin,
-                         const std::string& csv_path,
-                         std::size_t report_every, std::size_t progress_every,
-                         bool quiet) {
+/// Serves a resolved manifest, fresh or resumed. A plain run and a
+/// --tenants run take the same path — every tenant is one engine of the
+/// registry's round loop, a plain run being a one-tenant registry — and
+/// differ only in how the result prints. `resume`, when set, replaces
+/// spec resolution entirely — the manifests come from the WAL — and
+/// `wal_path` is the file being appended to.
+int run_manifest(const std::string& wal_path,
+                 const recovery::RunManifest& manifest,
+                 const recovery::RecoveredRun* resume, std::size_t threads,
+                 bool pin, const std::string& csv_path,
+                 std::size_t report_every, std::size_t progress_every,
+                 bool quiet) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   const faults::FaultSchedule fault_schedule =
       make_fault_schedule(manifest, quiet);
+  const bool record_latency = manifest.tenants.front().options.record_latency;
+  if (!quiet) {
+    std::cout << "route_server: " << manifest.tenants.size()
+              << (manifest.tenants.size() == 1 ? " tenant" : " tenants")
+              << " on one executor (threads=" << threads
+              << (record_latency ? "" : ", deterministic") << ")\n";
+  }
   std::deque<Host> hosts;
   TenantRegistry tenants;
   for (const recovery::TenantManifest& tenant : manifest.tenants) {
     hosts.push_back(make_host(tenant, registry));
-    // A feedback workload would silently fall back to the strict
-    // schedule, so a logged pipeline header would misdescribe the run:
-    // the WAL paths fail closed instead.
-    if (manifest.pipeline && !wal_path.empty() &&
-        hosts.back().workload->uses_feedback()) {
-      throw cli::UsageError(
-          "--pipeline cannot be combined with --wal/--resume for feedback "
-          "workload '" + hosts.back().workload->name() + "' (tenant '" +
-          tenant.name + "' falls back to the strict schedule)");
-    }
+    const Host& host = hosts.back();
     TenantOptions options;
     options.server = tenant.options;
-    options.server.threads = threads;
-    options.server.pipeline = manifest.pipeline;
-    options.server.pin = pin;
-    options.server.executor = nullptr;
-    // Engine notices (the feedback pipeline fallback) print to stderr
-    // unless --quiet; the library never writes there itself.
-    if (!quiet) {
-      options.server.notice = [](const std::string& message) {
-        std::cerr << message << "\n";
-      };
-    }
     // All tenants share the run's one fault schedule; per-tenant clauses
     // select their victim with tenant= (registry index).
     options.server.faults =
         fault_schedule.empty() ? nullptr : &fault_schedule;
     options.weight = tenant.weight;
+    const std::string name = tenant.name.empty() ? "run" : tenant.name;
     usage_error([&] {
-      tenants.add(tenant.name, hosts.back().instance, hosts.back().policy,
-                  *hosts.back().workload, options);
+      tenants.add(name, host.instance, host.policy, *host.workload, options);
       return 0;
     });
-  }
-
-  const bool record_latency = manifest.tenants.front().options.record_latency;
-  if (!quiet) {
-    std::cout << "route_server: " << tenants.size()
-              << " tenants on one executor (threads=" << threads
-              << (record_latency ? "" : ", deterministic") << ")\n";
+    if (!quiet) {
+      std::cout << "  [" << name << "] " << tenant.scenario << " ("
+                << host.instance.describe() << "), policy "
+                << host.policy.name() << ", workload "
+                << host.workload->name()
+                << ", T=" << options.server.update_period
+                << ", epochs=" << options.server.epochs
+                << ", clients=" << options.server.num_clients
+                << ", shards=" << options.server.shards
+                << ", weight=" << tenant.weight << "\n";
+    }
   }
 
   TenantObserver observer = nullptr;
   if (!quiet && report_every > 0) {
-    observer = [&tenants, report_every](std::size_t tenant,
-                                        const EpochSummary& e) {
-      if (e.epoch % report_every != 0) return;
-      std::cout << "  [" << tenants.name(tenant) << "] epoch " << e.epoch
-                << ": " << e.queries << " queries, migration rate "
-                << fmt(e.migration_rate, 4) << ", gap "
-                << fmt(e.wardrop_gap, 6) << "\n";
+    observer = [&tenants, &manifest, report_every](std::size_t tenant,
+                                                   const EpochSummary& e) {
+      const std::size_t epochs = manifest.tenants[tenant].options.epochs;
+      if (e.epoch % report_every != 0 && e.epoch + 1 != epochs) return;
+      std::cout << "  ";
+      if (manifest.multi_tenant) {
+        std::cout << "[" << tenants.name(tenant) << "] ";
+      }
+      std::cout << "epoch " << e.epoch << ": " << e.queries
+                << " queries, migration rate " << fmt(e.migration_rate, 4)
+                << ", gap " << fmt(e.wardrop_gap, 6) << ", board latency "
+                << fmt(e.board_latency, 4);
+      if (e.queries_per_second > 0.0) {
+        std::cout << ", " << fmt(e.queries_per_second / 1e6, 2)
+                  << " Mq/s, p99 " << fmt(e.p99_us, 1) << " us";
+      }
+      std::cout << "\n";
     };
   }
   if (progress_every > 0) {
@@ -447,7 +405,9 @@ int run_tenants_manifest(const std::string& wal_path,
                   log ? log->round_observer() : RoundCutObserver{},
                   resume_state);
   if (log) log->finish();
-  return print_multi_result(result, record_latency, csv_path, quiet);
+  print_result(result, manifest.multi_tenant, record_latency, csv_path,
+               quiet);
+  return 0;
 }
 
 /// Resolves --tenants specs against the top-level defaults into the WAL
@@ -494,104 +454,16 @@ recovery::RunManifest resolve_tenant_manifest(
   return manifest;
 }
 
-/// Single-server run from a resolved manifest (fresh or resumed).
-int run_single_manifest(const std::string& wal_path,
-                        const recovery::RunManifest& manifest,
-                        const recovery::RecoveredRun* resume,
-                        std::size_t threads, bool pin,
-                        const std::string& csv_path,
-                        std::size_t report_every, std::size_t progress_every,
-                        bool quiet) {
-  const recovery::TenantManifest& self = manifest.tenants.front();
-  RouteServerOptions options = self.options;
-  options.threads = threads;
-  options.pipeline = manifest.pipeline;
-  options.pin = pin;
-  options.executor = nullptr;
-  // The engine routes its one-line notices (the feedback pipeline
-  // fallback) through this sink instead of printing itself; --quiet
-  // silences them like the rest of the chatter.
-  if (!quiet) {
-    options.notice = [](const std::string& message) {
-      std::cerr << message << "\n";
-    };
-  }
-  const faults::FaultSchedule fault_schedule =
-      make_fault_schedule(manifest, quiet);
-  if (!fault_schedule.empty()) options.faults = &fault_schedule;
-
-  const ScenarioRegistry registry = ScenarioRegistry::builtin();
-  const Host host = make_host(self, registry);
-  // Fail closed before the WAL file is created/appended: a feedback
-  // workload falls back to the strict schedule, so a pipeline=1 header
-  // would misdescribe the run.
-  if (manifest.pipeline && !wal_path.empty() &&
-      host.workload->uses_feedback()) {
-    throw cli::UsageError(
-        "--pipeline cannot be combined with --wal/--resume for feedback "
-        "workload '" + host.workload->name() +
-        "' (it falls back to the strict schedule)");
-  }
-
-  if (!quiet) {
-    std::cout << "route_server: " << self.scenario << " ("
-              << host.instance.describe() << ")\n  policy "
-              << host.policy.name() << ", workload " << host.workload->name()
-              << ", T=" << options.update_period << ", epochs="
-              << options.epochs << ", clients=" << options.num_clients
-              << ", shards=" << options.shards << ", threads="
-              << options.threads
-              << (options.record_latency ? "" : ", deterministic") << "\n";
-  }
-
-  std::optional<recovery::WalLog> log;
-  std::span<const EngineCheckpoint> resume_cuts;
-  if (resume != nullptr) {
-    print_resume_banner(*resume, quiet);
-    log.emplace(wal_path, *resume);
-    resume_cuts = resume->cuts.front();
-  } else if (!wal_path.empty()) {
-    log.emplace(wal_path, manifest);
-  }
-
-  EpochObserver observer =
-      make_epoch_observer(options.epochs, report_every, quiet);
-  if (progress_every > 0) {
-    auto meter = std::make_shared<ProgressMeter>(progress_every);
-    observer = [meter, inner = std::move(observer)](const EpochSummary& e) {
-      meter->tick(e);
-      if (inner) inner(e);
-    };
-  }
-
-  RouteServer server(host.instance, host.policy, *host.workload);
-  const RouteServerResult result = server.run(
-      FlowVector::uniform(host.instance), options, observer,
-      log ? log->single_observer() : CutObserver{}, resume_cuts);
-  if (log) log->finish();
-  return print_single_result(result, options, csv_path, quiet);
-}
-
 /// --resume: the WAL header is the configuration; serve what remains.
-/// The header's pipeline flag is honored — a pipelined run resumes
-/// pipelined, a strict one strict. An explicit --pipeline is legal only
-/// when it agrees with the header (exit 2 on contradiction, like any
-/// config flag fighting the WAL); --pin passes through (a runtime knob
-/// like --threads).
-int do_resume(const std::string& path, std::size_t threads,
-              bool pipeline_flag, bool pin, const std::string& csv_path,
-              std::size_t report_every, std::size_t progress_every,
-              bool quiet) {
+/// --pin passes through (a runtime knob like --threads).
+int do_resume(const std::string& path, std::size_t threads, bool pin,
+              const std::string& csv_path, std::size_t report_every,
+              std::size_t progress_every, bool quiet) {
   recovery::RecoveredRun state;
   try {
     state = recovery::recover_wal(path);
   } catch (const std::runtime_error& e) {
     throw cli::UsageError(e.what());
-  }
-  if (pipeline_flag && !state.manifest.pipeline) {
-    throw cli::UsageError(
-        "--pipeline contradicts the WAL header (the logged run served the "
-        "strict schedule); a resumed run honors the logged setting");
   }
 
   if (state.clean_shutdown) {
@@ -610,13 +482,8 @@ int do_resume(const std::string& path, std::size_t threads,
     return 0;
   }
 
-  if (state.manifest.multi_tenant) {
-    return run_tenants_manifest(path, state.manifest, &state, threads, pin,
-                                csv_path, report_every, progress_every,
-                                quiet);
-  }
-  return run_single_manifest(path, state.manifest, &state, threads, pin,
-                             csv_path, report_every, progress_every, quiet);
+  return run_manifest(path, state.manifest, &state, threads, pin, csv_path,
+                      report_every, progress_every, quiet);
 }
 
 /// Starts the recorder for --trace and guarantees the trailer is written
@@ -683,8 +550,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
       options.threads = cli::parse_count(value, "--threads");
     } else if (key == "pin") {
       options.pin = true;
-    } else if (key == "pipeline") {
-      options.pipeline = true;
     } else if (key == "seed") {
       options.seed = cli::parse_count(value, "--seed");
     } else if (key == "deterministic") {
@@ -714,56 +579,39 @@ int do_run(const std::map<std::string, std::string>& flags) {
     }
   }
   cli::validate_recovery_flags(recovery_flags, flags, kConfigFlags);
-  // --pipeline composes with --wal/--resume: cuts span the one-epoch
-  // overlap and the v3 WAL header records the schedule. It is not in
-  // kConfigFlags — on resume an AGREEING --pipeline stays legal (the
-  // header is authoritative either way; do_resume rejects a
-  // contradiction). The only hard rejection left is feedback workloads,
-  // checked per run path once the workload is resolved.
 
   // --trace/--progress are runtime knobs (wall-clock telemetry only), so
   // like --threads/--csv they stay legal alongside --resume.
   const TraceScope trace_scope(trace_path);
 
   if (recovery_flags.resuming()) {
-    return do_resume(recovery_flags.resume, options.threads,
-                     options.pipeline, options.pin, csv_path, report_every,
-                     progress_every, quiet);
-  }
-
-  if (tenants_given) {
-    recovery::RunManifest manifest = resolve_tenant_manifest(
-        tenants_flag, scenario_name, policy_name, workload_spec, options);
-    manifest.faults = faults_spec;
-    manifest.pipeline = options.pipeline;
-    return run_tenants_manifest(recovery_flags.wal, manifest, nullptr,
-                                options.threads, options.pin, csv_path,
-                                report_every, progress_every, quiet);
-  }
-
-  // Default offered load: every client activates once per unit time on
-  // average, the finite-population analogue of the paper's unit-rate
-  // Poisson clocks.
-  if (workload_spec.empty()) {
-    std::ostringstream spec;
-    spec << "poisson:" << options.num_clients;
-    workload_spec = spec.str();
+    return do_resume(recovery_flags.resume, options.threads, options.pin,
+                     csv_path, report_every, progress_every, quiet);
   }
 
   recovery::RunManifest manifest;
-  manifest.multi_tenant = false;
+  if (tenants_given) {
+    manifest = resolve_tenant_manifest(tenants_flag, scenario_name,
+                                       policy_name, workload_spec, options);
+  } else {
+    // Default offered load: every client activates once per unit time on
+    // average, the finite-population analogue of the paper's unit-rate
+    // Poisson clocks.
+    if (workload_spec.empty()) {
+      workload_spec = "poisson:" + std::to_string(options.num_clients);
+    }
+    recovery::TenantManifest self;
+    self.scenario = scenario_name;
+    self.policy = policy_name;
+    self.workload = workload_spec;
+    self.options = options;
+    self.weight = 1;
+    manifest.tenants.push_back(std::move(self));
+  }
   manifest.faults = faults_spec;
-  manifest.pipeline = options.pipeline;
-  recovery::TenantManifest self;
-  self.scenario = scenario_name;
-  self.policy = policy_name;
-  self.workload = workload_spec;
-  self.options = options;
-  self.weight = 1;
-  manifest.tenants.push_back(std::move(self));
-  return run_single_manifest(recovery_flags.wal, manifest, nullptr,
-                             options.threads, options.pin, csv_path,
-                             report_every, progress_every, quiet);
+  return run_manifest(recovery_flags.wal, manifest, nullptr, options.threads,
+                      options.pin, csv_path, report_every, progress_every,
+                      quiet);
 }
 
 int run_main(int argc, char** argv) {
@@ -774,7 +622,7 @@ int run_main(int argc, char** argv) {
     if (command == "list") return do_list();
     if (command == "run") {
       return do_run(cli::parse_flags(
-          args, 1, {"quiet", "deterministic", "pin", "pipeline"}));
+          args, 1, {"quiet", "deterministic", "pin"}));
     }
   } catch (const cli::UsageError& e) {
     usage(e.what());

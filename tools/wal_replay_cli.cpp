@@ -5,14 +5,12 @@
 //   wal_replay_cli replay <wal> [--epoch <e>] [--epochs <k>]
 //                         [--tenant <name>] [--threads <t>] [--quiet]
 //
-// `info` prints the WAL's manifest (per-tenant configuration, the
-// run's mode line including the v3 header's pipeline flag — pipeline=1
-// means committed cuts trail the crashed run's serving frontier by one
-// epoch), the committed progress (cuts=<n> per tenant, rounds=<r>), the shutdown
-// state, and one row per committed cut (its byte offset in the file and
-// the epoch's route_p99, for correlating WAL cuts with trace spans) —
-// greppable key=value fields, used by the CI crash smoke to poll how far
-// a background run has progressed.
+// `info` prints the WAL's manifest (mode line and per-tenant
+// configuration), the committed progress (cuts=<n> per tenant,
+// rounds=<r>), the shutdown state, and one row per committed cut (its
+// byte offset in the file and the epoch's route_p99, for correlating WAL
+// cuts with trace spans) — greppable key=value fields, used by the CI
+// crash smoke to poll how far a background run has progressed.
 //
 // `replay` is the point-in-time debugger: it restores one tenant's state
 // at epoch cut e (--epoch, default 0) directly into an EpochEngine —
@@ -83,7 +81,7 @@ int do_info(const std::string& path) {
             << "mode: "
             << (state.manifest.multi_tenant ? "multi-tenant"
                                             : "single-server")
-            << " pipeline=" << (state.manifest.pipeline ? 1 : 0) << "\n"
+            << "\n"
             << "rounds=" << state.rounds
             << " clean_shutdown=" << (state.clean_shutdown ? 1 : 0)
             << " truncated=" << (state.truncated ? 1 : 0)
@@ -191,12 +189,6 @@ int do_replay(const std::string& path,
   options.threads = threads;
   options.executor = nullptr;
   options.record_latency = false;  // replay is deterministic by definition
-  // Replay always serves the strict schedule, even for a pipeline=1 WAL:
-  // cut content is schedule-independent (pipelined cuts are captured at
-  // the overlap boundary with the same bytes a strict run logs), and the
-  // strict epoch-at-a-time loop is what the record-by-record comparison
-  // below wants.
-  options.pipeline = false;
 
   SnapshotStore store;
   EpochEngine engine(instance, policy, *workload, store);
