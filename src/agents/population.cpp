@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace staleflow {
 namespace {
@@ -68,30 +69,47 @@ std::vector<std::size_t> initial_counts(const Commodity& commodity,
 
 }  // namespace
 
-Population::Population(const Instance& instance, std::size_t num_clients,
-                       std::span<const double> target)
-    : instance_(&instance),
-      clients_per_commodity_(allocate_clients(instance, num_clients)),
-      flow_per_client_(instance.commodity_count(), 0.0),
-      empirical_(instance.path_count(), 0.0) {
-  commodity_.reserve(num_clients);
-  local_path_.reserve(num_clients);
+InitialAssignment initial_assignment(const Instance& instance,
+                                     std::size_t num_clients,
+                                     std::span<const double> target) {
+  InitialAssignment start;
+  start.clients_per_commodity = allocate_clients(instance, num_clients);
   const std::size_t k = instance.commodity_count();
+  start.flow_per_client.assign(k, 0.0);
+  start.path_clients.resize(k);
+  start.empirical.assign(instance.path_count(), 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     const Commodity& commodity = instance.commodity(CommodityId{c});
-    const std::size_t n_c = clients_per_commodity_[c];
-    flow_per_client_[c] = commodity.demand / static_cast<double>(n_c);
-    const std::vector<std::size_t> counts =
-        initial_counts(commodity, target, n_c);
-    for (std::size_t j = 0; j < counts.size(); ++j) {
-      for (std::size_t a = 0; a < counts[j]; ++a) {
-        commodity_.push_back(static_cast<std::uint32_t>(c));
-        local_path_.push_back(static_cast<std::uint32_t>(j));
-      }
-      empirical_[commodity.paths[j].index()] +=
-          static_cast<double>(counts[j]) * flow_per_client_[c];
+    const std::size_t n_c = start.clients_per_commodity[c];
+    start.flow_per_client[c] = commodity.demand / static_cast<double>(n_c);
+    start.path_clients[c] = initial_counts(commodity, target, n_c);
+    for (std::size_t j = 0; j < start.path_clients[c].size(); ++j) {
+      start.empirical[commodity.paths[j].index()] +=
+          static_cast<double>(start.path_clients[c][j]) *
+          start.flow_per_client[c];
     }
   }
+  return start;
+}
+
+Population::Population(const Instance& instance, std::size_t num_clients,
+                       std::span<const double> target)
+    : instance_(&instance) {
+  InitialAssignment start = initial_assignment(instance, num_clients, target);
+  commodity_.reserve(num_clients);
+  local_path_.reserve(num_clients);
+  for (std::size_t c = 0; c < start.path_clients.size(); ++c) {
+    const std::vector<std::size_t>& counts = start.path_clients[c];
+    for (std::size_t j = 0; j < counts.size(); ++j) {
+      commodity_.insert(commodity_.end(), counts[j],
+                        static_cast<std::uint32_t>(c));
+      local_path_.insert(local_path_.end(), counts[j],
+                         static_cast<std::uint32_t>(j));
+    }
+  }
+  clients_per_commodity_ = std::move(start.clients_per_commodity);
+  flow_per_client_ = std::move(start.flow_per_client);
+  empirical_ = std::move(start.empirical);
 }
 
 PathId Population::path_of(std::size_t client) const {

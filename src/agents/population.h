@@ -9,6 +9,7 @@
 // path-flow vector.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -17,14 +18,32 @@
 
 namespace staleflow {
 
+/// The deterministic initial assignment of a client fleet, as counts.
+/// Client ids enumerate commodities in order, then each commodity's paths
+/// in local order, so these counts fix every client's (commodity, path)
+/// without a per-client table: Population expands them client by client,
+/// the route service builds its own client table from them.
+struct InitialAssignment {
+  std::vector<std::size_t> clients_per_commodity;
+  std::vector<double> flow_per_client;  // by commodity: demand_i / N_i
+  /// Clients starting on each local path: path_clients[c][j].
+  std::vector<std::vector<std::size_t>> path_clients;
+  std::vector<double> empirical;  // induced path flow, by path
+};
+
+/// Allocates `num_clients` across commodities proportionally to demand
+/// (at least one each; throws std::invalid_argument when num_clients <
+/// commodity_count()) and spreads each commodity's clients over its paths
+/// so the empirical flow approximates `target` (counts are rounded;
+/// rounding drift is corrected greedily).
+InitialAssignment initial_assignment(const Instance& instance,
+                                     std::size_t num_clients,
+                                     std::span<const double> target);
+
 class Population {
  public:
-  /// Allocates `num_clients` across commodities proportionally to demand
-  /// (at least one each; throws std::invalid_argument when num_clients <
-  /// commodity_count()) and assigns each client to a path so the empirical
-  /// flow approximates `target` (counts are rounded; rounding drift is
-  /// corrected greedily). Client ids enumerate commodities in order, then
-  /// paths in local order — the layout is deterministic.
+  /// Expands initial_assignment(instance, num_clients, target) into one
+  /// (commodity, path) entry per client, in client-id order.
   Population(const Instance& instance, std::size_t num_clients,
              std::span<const double> target);
 

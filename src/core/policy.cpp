@@ -76,11 +76,4 @@ void sampling_cdf(const Policy& policy, const Instance& instance,
   if (!out.empty()) out.back() = std::max(out.back(), 1.0);
 }
 
-std::size_t sample_from_cdf(std::span<const double> cdf, Rng& rng) {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-  return static_cast<std::size_t>(std::min<std::ptrdiff_t>(
-      it - cdf.begin(), static_cast<std::ptrdiff_t>(cdf.size()) - 1));
-}
-
 }  // namespace staleflow

@@ -2,6 +2,7 @@
 // factories for the combinations the paper analyses.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -83,8 +84,24 @@ void sampling_cdf(const Policy& policy, const Instance& instance,
                   std::vector<double>& out);
 
 /// Draws a local path index from a distribution built by sampling_cdf():
-/// one uniform variate, one binary search, end-clamped against round-off.
-/// Requires a non-empty cdf.
-std::size_t sample_from_cdf(std::span<const double> cdf, Rng& rng);
+/// one uniform variate u, then std::lower_bound(cdf, u)'s index clamped to
+/// cdf.size() - 1 (the end clamp against round-off). Requires a non-empty
+/// cdf. The search runs over the first size - 1 entries — its result is
+/// then already the clamped index — and is branch-free: each halving step
+/// picks its half with a conditional move, so the unpredictable
+/// comparison never costs a mispredicted jump on the per-query path.
+inline std::size_t sample_from_cdf(std::span<const double> cdf, Rng& rng) {
+  const double u = rng.uniform();
+  const double* base = cdf.data();
+  std::size_t n = cdf.size() - 1;
+  if (n == 0) return 0;
+  // Invariant: the answer lies in [base, base + n].
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < u ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - cdf.data()) + (*base < u ? 1 : 0);
+}
 
 }  // namespace staleflow

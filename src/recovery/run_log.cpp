@@ -9,6 +9,22 @@
 #include "util/fnv.h"
 
 namespace staleflow::recovery {
+namespace {
+
+/// Checks a decoded element count against what is left of the payload:
+/// `count` elements of at least `element_bytes` each must still fit. A
+/// corrupt or hostile count fails closed here, with std::runtime_error,
+/// before any reserve() sizes a vector from it.
+std::size_t checked_count(const binio::Reader& r, std::uint64_t count,
+                          std::size_t element_bytes, const char* what) {
+  if (count > r.remaining() / element_bytes) {
+    throw std::runtime_error(std::string(what) +
+                             " count exceeds the payload");
+  }
+  return static_cast<std::size_t>(count);
+}
+
+}  // namespace
 
 // --------------------------------------------------------------------------
 // Payload codecs
@@ -67,7 +83,9 @@ RunManifest decode_run_header(std::string_view payload) {
   if (count == 0 || (!manifest.multi_tenant && count != 1)) {
     throw std::runtime_error("WAL header: bad tenant count");
   }
-  manifest.tenants.reserve(count);
+  // Four length-prefixed strings, eight u64/f64 fields and two flags.
+  manifest.tenants.reserve(
+      checked_count(r, count, 4 * 8 + 8 * 8 + 2, "WAL header: tenant"));
   for (std::uint32_t i = 0; i < count; ++i) {
     TenantManifest tenant;
     tenant.name = r.str();
@@ -168,22 +186,24 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   s.p999_us = r.f64();
   s.queries_per_second = r.f64();
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
-  const std::uint64_t paths = r.u64();
+  const std::size_t paths = checked_count(r, r.u64(), 8, "WAL cut: flow");
   record.cut.flow.reserve(paths);
-  for (std::uint64_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
-  const std::uint64_t clients = r.u64();
+  for (std::size_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
+  const std::size_t clients =
+      checked_count(r, r.u64(), 4, "WAL cut: client path");
   record.cut.client_paths.reserve(clients);
-  for (std::uint64_t i = 0; i < clients; ++i) {
+  for (std::size_t i = 0; i < clients; ++i) {
     record.cut.client_paths.push_back(r.u32());
   }
 
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
   const std::uint32_t hist_bits = r.u32();
-  const std::uint64_t nonzero = r.u64();
+  const std::size_t nonzero =
+      checked_count(r, r.u64(), 16, "WAL cut: histogram bucket");
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
   buckets.reserve(nonzero);
-  for (std::uint64_t i = 0; i < nonzero; ++i) {
+  for (std::size_t i = 0; i < nonzero; ++i) {
     const std::uint64_t bucket = r.u64();
     const std::uint64_t count = r.u64();
     buckets.emplace_back(bucket, count);
@@ -218,9 +238,10 @@ RoundMark decode_round_mark(std::string_view payload) {
   binio::Reader r(payload);
   RoundMark mark;
   mark.rounds = r.u64();
-  const std::uint32_t count = r.u32();
+  const std::size_t count =
+      checked_count(r, r.u32(), 8, "WAL round mark: credit");
   mark.credits.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) mark.credits.push_back(r.u64());
+  for (std::size_t i = 0; i < count; ++i) mark.credits.push_back(r.u64());
   if (!r.done()) {
     throw std::runtime_error("WAL round mark: trailing bytes in payload");
   }
@@ -236,10 +257,11 @@ std::string encode_trailer(std::span<const std::uint64_t> digests) {
 
 std::vector<std::uint64_t> decode_trailer(std::string_view payload) {
   binio::Reader r(payload);
-  const std::uint32_t count = r.u32();
+  const std::size_t count =
+      checked_count(r, r.u32(), 8, "WAL trailer: digest");
   std::vector<std::uint64_t> digests;
   digests.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) digests.push_back(r.u64());
+  for (std::size_t i = 0; i < count; ++i) digests.push_back(r.u64());
   if (!r.done()) {
     throw std::runtime_error("WAL trailer: trailing bytes in payload");
   }

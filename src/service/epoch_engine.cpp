@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "agents/population.h"
 #include "core/policy.h"
 #include "equilibrium/metrics.h"
 #include "exec/executor.h"
@@ -16,6 +17,26 @@
 #include "util/stopwatch.h"
 
 namespace staleflow {
+namespace {
+
+/// Visits a shard-major client table in memory order, calling
+/// visit(client id, row): shard s's k-th row is client s + shards * k,
+/// shards = shard_clients.size().
+template <typename Table, typename Visit>
+void for_each_client(Table& table,
+                     const std::vector<std::size_t>& shard_clients,
+                     Visit visit) {
+  const std::size_t shards = shard_clients.size();
+  auto* row = table.data();
+  for (std::size_t s = 0; s < shards; ++s) {
+    std::size_t id = s;
+    for (std::size_t k = 0; k < shard_clients[s]; ++k, id += shards) {
+      visit(id, *row++);
+    }
+  }
+}
+
+}  // namespace
 
 EpochEngine::EpochEngine(const Instance& instance, const Policy& policy,
                          const WorkloadGenerator& workload,
@@ -27,7 +48,7 @@ EpochEngine::EpochEngine(const Instance& instance, const Policy& policy,
 
 void EpochEngine::begin(const FlowVector& initial,
                         const RouteServerOptions& options) {
-  if (clients_ != nullptr) {
+  if (!clients_.empty()) {
     throw std::logic_error("EpochEngine::begin: already begun");
   }
   if (!(options.update_period > 0.0)) {
@@ -59,27 +80,52 @@ void EpochEngine::begin(const FlowVector& initial,
         "RouteServer::run: latency_sample_every must be >= 1");
   }
 
+  InitialAssignment start =
+      initial_assignment(*instance_, options.num_clients, initial.values());
   options_ = options;
   master_ = Rng(options.seed);
-  clients_ = std::make_unique<Population>(*instance_, options.num_clients,
-                                          initial.values());
+
+  // Shard s owns clients {s, s + shards, s + 2*shards, ...}.
+  const std::size_t shards = options.shards;
+  shard_clients_.resize(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    shard_clients_[s] = options.num_clients / shards +
+                        (s < options.num_clients % shards ? 1 : 0);
+  }
+
+  // Fill the table from the assignment's counts. Client ids run through
+  // the (commodity, path) blocks in order, so a block's clients in shard s
+  // are one run of that shard's rows: as many as the shard's ids below the
+  // block's end, minus those below its start. (std::fill_n into a sized
+  // table: vector::insert(pos, n, entry) measured ~13x slower here.)
+  clients_.resize(options.num_clients);
+  detail::ClientEntry* row = clients_.data();
+  for (std::size_t s = 0; s < shards; ++s) {
+    const auto ids_below = [s, shards](std::size_t end) {
+      return end > s ? (end - s - 1) / shards + 1 : std::size_t{0};
+    };
+    std::size_t end = 0;
+    std::size_t rows = 0;  // ids_below(end)
+    for (std::size_t c = 0; c < start.path_clients.size(); ++c) {
+      for (std::size_t j = 0; j < start.path_clients[c].size(); ++j) {
+        end += start.path_clients[c][j];
+        const std::size_t next = ids_below(end);
+        row = std::fill_n(row, next - rows,
+                          detail::ClientEntry{static_cast<std::uint32_t>(c),
+                                              static_cast<std::uint32_t>(j)});
+        rows = next;
+      }
+    }
+  }
+  flow_per_client_ = std::move(start.flow_per_client);
 
   // Master flow: starts at the client fleet's empirical flow, advanced
   // only by ledger folds at phase boundaries.
-  flow_.assign(clients_->empirical_flow().begin(),
-               clients_->empirical_flow().end());
-  ledger_ =
-      std::make_unique<FlowLedger>(instance_->path_count(), options.shards);
+  flow_ = std::move(start.empirical);
+  ledger_ = std::make_unique<FlowLedger>(instance_->path_count(), shards);
   store_->publish(std::make_shared<BoardSnapshot>(*instance_, *policy_,
                                                   /*epoch=*/0, /*now=*/0.0,
                                                   flow_));
-
-  // Shard s owns clients {s, s + shards, s + 2*shards, ...}.
-  shard_clients_.resize(options.shards);
-  for (std::size_t s = 0; s < options.shards; ++s) {
-    shard_clients_[s] = options.num_clients / options.shards +
-                        (s < options.num_clients % options.shards ? 1 : 0);
-  }
   epochs_.reserve(options.epochs);
 }
 
@@ -87,7 +133,6 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
   const EpochStage& stage = stage_;
   detail::SubBatchContext& sub = stage_.ctx[b];
   const std::size_t s = sub.shard;
-  const std::size_t shards = options_.shards;
   // Span over the whole batch, recorded from the worker thread that runs
   // it. arg packs (lane, shard, index): bits 48+ carry the executing
   // thread's encoded lane (0 = pre-lane trace, 1 = a non-worker thread,
@@ -117,56 +162,68 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
   }
   // The RCU read path: pin this epoch's board for the whole batch.
   const SnapshotPtr snap = store_->acquire();
-  const BulletinBoard& board = snap->board();
+  const std::span<const double> latency = snap->board().path_latency();
+  const MigrationRule& migration = policy_->migration();
+  detail::ClientEntry* const clients = clients_.data() + sub.client_begin;
+  const UniformBelow pick_client(sub.client_count);
+  Rng rng = sub.rng;
+  // The route-latency tally: served queries per path, and their latency
+  // summed in query order — the exact bits per-query record() calls
+  // would have summed.
+  std::fill(sub.path_served.begin(), sub.path_served.end(), 0);
+  std::uint64_t* const served = sub.path_served.data();
+  double route_sum = 0.0;
+  // The wall sampler times queries 0, k, 2k, ... (k =
+  // latency_sample_every), counting down so no query pays a modulo.
+  std::size_t until_timed =
+      options_.record_latency ? 0 : std::numeric_limits<std::size_t>::max();
   for (std::size_t q = 0; q < sub.arrivals; ++q) {
-    const bool timed = options_.record_latency &&
-                       q % options_.latency_sample_every == 0;
+    const bool timed = until_timed == 0;
+    if (timed) until_timed = options_.latency_sample_every;
+    --until_timed;
     const WallClock::time_point begin =
         timed ? WallClock::now() : WallClock::time_point{};
 
-    const RouteQuery query{static_cast<std::uint32_t>(
-        s + shards * (sub.client_begin + sub.rng.below(sub.client_count)))};
-    const CommodityId c = clients_->commodity_of(query.client);
+    detail::ClientEntry& client = clients[pick_client(rng)];
+    const CommodityId c{static_cast<std::size_t>(client.commodity)};
     const Commodity& commodity = instance_->commodity(c);
 
     // Step (1): sample a candidate from the precomputed CDF.
-    const std::size_t sampled = sample_from_cdf(snap->cdf(c), sub.rng);
+    const std::size_t sampled = sample_from_cdf(snap->cdf(c), rng);
 
     // Step (2): migrate with probability mu(l_P, l_Q).
-    const std::size_t current = clients_->local_path(query.client);
-    std::size_t served_path = current;
+    std::size_t served_path = commodity.paths[client.local_path].index();
     bool migrated = false;
-    if (sampled != current) {
-      const double l_current =
-          board.path_latency()[commodity.paths[current].index()];
-      const double l_sampled =
-          board.path_latency()[commodity.paths[sampled].index()];
+    if (sampled != client.local_path) {
+      const std::size_t sampled_path = commodity.paths[sampled].index();
       const double mu =
-          policy_->migration().probability(l_current, l_sampled);
-      if (sub.rng.bernoulli(mu)) {
+          migration.probability(latency[served_path], latency[sampled_path]);
+      if (rng.bernoulli(mu)) {
         migrated = true;
-        served_path = sampled;
-        const double moved = clients_->flow_of(query.client);
-        ledger_->add(b, commodity.paths[current].index(), -moved);
-        ledger_->add(b, commodity.paths[sampled].index(), +moved);
-        clients_->reassign(query.client, sampled);
+        const double moved = flow_per_client_[client.commodity];
+        ledger_->add(b, served_path, -moved);
+        ledger_->add(b, sampled_path, +moved);
+        client.local_path = static_cast<std::uint32_t>(sampled);
+        served_path = sampled_path;
       }
     }
     ledger_->count_query(b, migrated);
 
     // The latency this query's client experiences on the board it was
     // routed against — a deterministic board value, not wall clock.
-    sub.route_hist.record(
-        board.path_latency()[commodity.paths[served_path].index()]);
+    ++served[served_path];
+    route_sum += latency[served_path];
 
     if (timed) {
       sub.wall_hist.record(1e6 * seconds_between(begin, WallClock::now()));
     }
   }
+  sub.rng = rng;
+  sub.route_hist.record_tally(latency, sub.path_served, route_sum);
 }
 
 void EpochEngine::add_epoch(TaskGraph& graph) {
-  if (clients_ == nullptr) {
+  if (clients_.empty()) {
     throw std::logic_error("EpochEngine::add_epoch: begin() first");
   }
   if (epoch_in_flight_) {
@@ -251,6 +308,7 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
   // slices. One sub-batch per shard minimum keeps the stream layout
   // aligned with the unsplit (PR-2/PR-3) dynamics when nothing splits.
   std::size_t planned = 0;
+  std::size_t shard_begin = 0;  // the shard's first row in the table
   for (std::size_t s = 0; s < shards; ++s) {
     const std::size_t batch = total / shards + (s < total % shards ? 1 : 0);
     const std::size_t pieces =
@@ -262,14 +320,16 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
       detail::SubBatchContext& sub = stage.ctx[planned + piece];
       const SubRange slice = sub_range(shard_clients_[s], pieces, piece);
       sub.shard = s;
-      sub.client_begin = slice.begin;
+      sub.client_begin = shard_begin + slice.begin;
       sub.client_count = slice.count;
       sub.arrivals = sub_range(batch, pieces, piece).count;
       sub.rng = epoch_rng.split();
+      sub.path_served.resize(instance_->path_count());
       sub.route_hist.reset();
       sub.wall_hist.reset();
     }
     planned += pieces;
+    shard_begin += shard_clients_[s];
   }
   stage.batches = planned;
   ledger_->ensure_slots(stage.batches);
@@ -421,18 +481,18 @@ EngineCheckpoint EpochEngine::checkpoint() const {
   cut.summary = epochs_.back();
   cut.rng_state = master_.state();
   cut.flow = flow_;
-  cut.client_paths.reserve(clients_->size());
-  for (std::size_t c = 0; c < clients_->size(); ++c) {
-    cut.client_paths.push_back(
-        static_cast<std::uint32_t>(clients_->local_path(c)));
-  }
+  cut.client_paths.resize(clients_.size());  // in client-id order
+  for_each_client(clients_, shard_clients_,
+                  [&cut](std::size_t id, const detail::ClientEntry& row) {
+                    cut.client_paths[id] = row.local_path;
+                  });
   // The just-finished epoch's merged route latencies, still staged.
   cut.route_hist = stage_.epoch_route;
   return cut;
 }
 
 void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
-  if (clients_ == nullptr) {
+  if (clients_.empty()) {
     throw std::logic_error("EpochEngine::restore: begin() first");
   }
   if (!epochs_.empty() || epoch_in_flight_) {
@@ -450,7 +510,7 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
         "EpochEngine::restore: flow does not match the instance's path "
         "count");
   }
-  if (last.client_paths.size() != clients_->size()) {
+  if (last.client_paths.size() != clients_.size()) {
     throw std::invalid_argument(
         "EpochEngine::restore: client paths do not match num_clients");
   }
@@ -470,17 +530,19 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
 
   flow_ = last.flow;
   master_ = Rng::from_state(last.rng_state);
-  for (std::size_t c = 0; c < clients_->size(); ++c) {
-    const std::size_t path = last.client_paths[c];
-    const Commodity& commodity =
-        instance_->commodity(clients_->commodity_of(c));
-    if (path >= commodity.paths.size()) {
-      throw std::invalid_argument(
-          "EpochEngine::restore: client path out of its commodity's "
-          "range");
-    }
-    clients_->reassign(c, path);
-  }
+  for_each_client(
+      clients_, shard_clients_,
+      [this, &last](std::size_t id, detail::ClientEntry& row) {
+        const std::uint32_t path = last.client_paths[id];
+        const Commodity& commodity = instance_->commodity(
+            CommodityId{static_cast<std::size_t>(row.commodity)});
+        if (path >= commodity.paths.size()) {
+          throw std::invalid_argument(
+              "EpochEngine::restore: client path out of its commodity's "
+              "range");
+        }
+        row.local_path = path;
+      });
 
   // Re-publish the board the checkpointed process was serving against:
   // the epoch-n post of the restored flow — the same bits finish_epoch
@@ -492,7 +554,7 @@ void EpochEngine::restore(std::span<const EngineCheckpoint> cuts) {
 }
 
 RouteServerResult EpochEngine::finish(double wall_seconds) {
-  if (clients_ == nullptr || epoch_in_flight_ || epochs_.empty()) {
+  if (clients_.empty() || epoch_in_flight_ || epochs_.empty()) {
     throw std::logic_error(
         "EpochEngine::finish: run at least one epoch to completion first");
   }

@@ -2,8 +2,8 @@
 // out of RouteServer so a host can drive epochs one at a time.
 //
 // An EpochEngine owns everything one serving instance mutates — its
-// client Population, master flow, sharded FlowLedger, sub-batch contexts,
-// RNG streams and accumulating result — and borrows the SnapshotStore it
+// client table, master flow, sharded FlowLedger, sub-batch contexts, RNG
+// streams and accumulating result — and borrows the SnapshotStore it
 // publishes to. The host drives the epoch cycle explicitly:
 //
 //   EpochEngine engine(instance, policy, workload, store);
@@ -36,7 +36,6 @@
 #include <memory>
 #include <vector>
 
-#include "agents/population.h"
 #include "net/flow.h"
 #include "service/checkpoint.h"
 #include "service/ledger.h"
@@ -50,18 +49,25 @@ namespace staleflow {
 class TaskGraph;
 
 namespace detail {
+/// One client's row in the engine's client table: its commodity and its
+/// current path, as an index into the commodity's path list.
+struct ClientEntry {
+  std::uint32_t commodity = 0;
+  std::uint32_t local_path = 0;
+};
+
 /// Everything one serving task needs for an epoch: which shard it belongs
-/// to, its contiguous slice of that shard's client list, its arrival
-/// quota, its own Rng stream and its latency histograms. Sub-batches
-/// never touch each other's context; the alignment keeps neighbouring
-/// contexts off the same cache line (the rng state is written on every
-/// query).
+/// to, its contiguous slice of the client table, its arrival quota, its
+/// own Rng stream, its per-path tally and its latency histograms.
+/// Sub-batches never touch each other's context; the alignment keeps
+/// neighbouring contexts off the same cache line.
 struct alignas(64) SubBatchContext {
   std::size_t shard = 0;
-  std::size_t client_begin = 0;  // offset into the shard's client list
+  std::size_t client_begin = 0;  // offset into the client table
   std::size_t client_count = 0;
   std::size_t arrivals = 0;
   Rng rng{0};
+  std::vector<std::uint64_t> path_served;  // served queries, by path
   LogHistogram route_hist;  // board latency of the served path (exact)
   LogHistogram wall_hist;   // per-query service time in us (wall clock)
 };
@@ -163,10 +169,15 @@ class EpochEngine {
 
   RouteServerOptions options_;
   Rng master_{0};
-  std::unique_ptr<Population> clients_;
+  // The client table, shard-major: logical shard s owns client ids
+  // s, s + shards, s + 2 * shards, ... and holds them contiguously, in id
+  // order, after shards 0..s-1 — client s + shards * k is the shard's
+  // k-th row. A sub-batch's slice is one contiguous run of rows.
+  std::vector<detail::ClientEntry> clients_;
+  std::vector<std::size_t> shard_clients_;  // clients per logical shard
+  std::vector<double> flow_per_client_;     // by commodity
   std::vector<double> flow_;
   std::unique_ptr<FlowLedger> ledger_;
-  std::vector<std::size_t> shard_clients_;  // clients per logical shard
 
   EpochStage stage_;
   bool epoch_in_flight_ = false;

@@ -1,14 +1,15 @@
 // The online stale-routing engine: the paper's bulletin-board dynamics
 // run as a service.
 //
-// A RouteServer owns a client Population, an epoch-swapped SnapshotStore
-// and a sharded FlowLedger. Each epoch of length T it answers a batch of
-// RouteQuery requests against the *current* (stale) snapshot — sample a
-// candidate path with the policy's precomputed CDF, migrate with
-// probability mu(l_P, l_Q) — while per-shard accumulators record the flow
-// movement. At the phase boundary the shards are folded into the master
-// flow and the next BoardSnapshot is published from it, so served traffic
-// IS the flow that determines the next board, exactly Eq. (3)'s loop.
+// A RouteServer owns a client fleet (an EpochEngine's client table), an
+// epoch-swapped SnapshotStore and a sharded FlowLedger. Each epoch of
+// length T it answers a batch of RouteQuery requests against the
+// *current* (stale) snapshot — sample a candidate path with the policy's
+// precomputed CDF, migrate with probability mu(l_P, l_Q) — while
+// per-shard accumulators record the flow movement. At the phase boundary
+// the shards are folded into the master flow and the next BoardSnapshot
+// is published from it, so served traffic IS the flow that determines
+// the next board, exactly Eq. (3)'s loop.
 //
 // Determinism contract (mirrors the sweep engine): clients are
 // partitioned over a FIXED number of logical shards (client % shards);

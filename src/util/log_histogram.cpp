@@ -58,6 +58,33 @@ void LogHistogram::record(double value, std::uint64_t count) {
         "LogHistogram::record: value must be finite and >= 0");
   }
   if (count == 0) return;
+  count_value(value, count);
+  sum_ += value * static_cast<double>(count);
+}
+
+void LogHistogram::record_tally(std::span<const double> values,
+                                std::span<const std::uint64_t> counts,
+                                double sum) {
+  if (values.size() != counts.size()) {
+    throw std::invalid_argument(
+        "LogHistogram::record_tally: values and counts differ in size");
+  }
+  for (const double value : values) {
+    if (!(value >= 0.0) || !std::isfinite(value)) {
+      throw std::invalid_argument(
+          "LogHistogram::record_tally: value must be finite and >= 0");
+    }
+  }
+  if (!(sum >= 0.0)) {
+    throw std::invalid_argument("LogHistogram::record_tally: sum must be >= 0");
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (counts[i] != 0) count_value(values[i], counts[i]);
+  }
+  sum_ += sum;
+}
+
+void LogHistogram::count_value(double value, std::uint64_t count) {
   ensure_counts();
   counts_[bucket_index(value)] += count;
   if (count_ == 0) {
@@ -67,7 +94,6 @@ void LogHistogram::record(double value, std::uint64_t count) {
     max_ = std::max(max_, value);
   }
   count_ += count;
-  sum_ += value * static_cast<double>(count);
 }
 
 bool LogHistogram::same_config(const LogHistogram& other) const noexcept {
@@ -199,6 +225,13 @@ LogHistogram LogHistogram::from_state(
     std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
     double min, double max, double sum) {
   LogHistogram hist(min_value, max_value, sub_bucket_bits);
+  for (const double stat : {min, max, sum}) {
+    if (!(stat >= 0.0) || !std::isfinite(stat)) {
+      throw std::invalid_argument(
+          "LogHistogram::from_state: min, max and sum must be finite and "
+          ">= 0");
+    }
+  }
   if (buckets.empty()) return hist;
   hist.ensure_counts();
   for (const auto& [bucket, count] : buckets) {

@@ -45,6 +45,18 @@ class LogHistogram {
   /// can be zero but never negative or undefined).
   void record(double value, std::uint64_t count = 1);
 
+  /// Records a tally: counts[i] occurrences of values[i] for every i (the
+  /// spans must have the same size), where `sum` is the caller's running
+  /// sum of those occurrences, added up in the order they occurred.
+  /// Counts, min and max do not depend on that order, so on an empty
+  /// histogram the result is operator==-equal to calling record(v) once
+  /// per occurrence in that order — the serve loop tallies its queries by
+  /// path and records once per sub-batch. Every value (counted or not)
+  /// must be finite and >= 0, and `sum` >= 0; otherwise throws
+  /// std::invalid_argument and records nothing.
+  void record_tally(std::span<const double> values,
+                    std::span<const std::uint64_t> counts, double sum);
+
   /// Adds `other`'s counts into this histogram. Both must share the exact
   /// same configuration (min, max, sub_bucket_bits); throws
   /// std::invalid_argument on a mismatch.
@@ -110,10 +122,11 @@ class LogHistogram {
   /// exact min/max/sum the accessors reported. The result compares
   /// operator==-equal to the original — bucket counts, count, min, max
   /// and sum restored bit-for-bit — so merges and quantiles continue
-  /// exactly. `min`/`max`/`sum` are ignored when `buckets` is empty (an
-  /// empty histogram has no extremes). Throws std::invalid_argument on a
-  /// bad configuration, an out-of-range or repeated bucket index, a zero
-  /// per-bucket count, or (when nonempty) min > max.
+  /// exactly. `min`/`max`/`sum` are checked but otherwise ignored when
+  /// `buckets` is empty (an empty histogram has no extremes). Throws
+  /// std::invalid_argument on a bad configuration, an out-of-range or
+  /// repeated bucket index, a zero per-bucket count, a negative or
+  /// non-finite min, max or sum, or (when nonempty) min > max.
   static LogHistogram from_state(
       double min_value, double max_value, unsigned sub_bucket_bits,
       std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
@@ -126,6 +139,9 @@ class LogHistogram {
  private:
   bool same_config(const LogHistogram& other) const noexcept;
   void ensure_counts();
+  /// Adds `count` (> 0) occurrences of a checked value to the buckets,
+  /// count and extremes; the caller updates the sum.
+  void count_value(double value, std::uint64_t count);
 
   double min_value_ = 0.0;
   double max_value_ = 0.0;

@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -28,23 +24,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 1;
   }
-}
-
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -67,12 +46,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   const auto width =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   return lo + static_cast<std::int64_t>(below(width));
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::exponential(double rate) {
@@ -116,6 +89,17 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
     if (weights[i - 1] > 0.0) return i - 1;
   }
   return weights.size() - 1;
+}
+
+UniformBelow::UniformBelow(std::uint64_t n) : n_(n) {
+  if (n == 0) {
+    throw std::invalid_argument("UniformBelow: n must be positive");
+  }
+  threshold_ = (~n + 1) % n;
+  using u128 = unsigned __int128;
+  // ceil(2^128 / n) == floor((2^128 - 1) / n) + 1; n == 1 wraps to 0,
+  // which still yields remainder 0.
+  magic_ = ~u128{0} / n + 1;
 }
 
 Rng Rng::split() noexcept {

@@ -173,6 +173,70 @@ TEST(LogHistogram, RecordAndMergeAreCommutative) {
   }
 }
 
+/// A tally — counts per distinct value plus the in-order running sum — is
+/// exactly the histogram that per-value record() calls in that order
+/// build: same buckets, count, extremes and sum bits (operator==), hence
+/// the same quantiles. This is how the serve loop records its queries.
+TEST(LogHistogram, RecordTallyEqualsPerValueRecords) {
+  // A handful of distinct values, like a board's path latencies: in and
+  // out of range, zero, and two values sharing one bucket.
+  const std::vector<double> values = {0.0,  1e-12, 0.25, 0.2500001,
+                                      1.75, 3.5,   1e9,  5e12};
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    LogHistogram per_value;
+    std::vector<std::uint64_t> counts(values.size(), 0);
+    double sum = 0.0;
+    for (int q = 0; q < 5000; ++q) {
+      const std::size_t i = rng.below(values.size() - (seed == 3 ? 2 : 0));
+      per_value.record(values[i]);
+      ++counts[i];
+      sum += values[i];
+    }
+    LogHistogram tally;
+    tally.record_tally(values, counts, sum);
+    EXPECT_TRUE(tally == per_value) << "seed " << seed;
+    EXPECT_EQ(tally.sum(), per_value.sum());
+    EXPECT_EQ(tally.min(), per_value.min());
+    EXPECT_EQ(tally.max(), per_value.max());
+    for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(tally.quantile(q), per_value.quantile(q)) << "q " << q;
+    }
+  }
+
+  // An all-zero tally records nothing.
+  LogHistogram none;
+  none.record_tally(values, std::vector<std::uint64_t>(values.size(), 0),
+                    0.0);
+  EXPECT_TRUE(none == LogHistogram());
+}
+
+TEST(LogHistogram, RecordTallyRejectsBadInputAndRecordsNothing) {
+  const std::vector<std::uint64_t> counts = {3, 1};
+  const auto rejects = [&counts](std::vector<double> values, double sum) {
+    LogHistogram hist;
+    EXPECT_THROW(hist.record_tally(values, counts, sum),
+                 std::invalid_argument);
+    EXPECT_TRUE(hist == LogHistogram());  // untouched
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects({1.0, nan}, 3.0);
+  rejects({-1.0, 2.0}, 1.0);
+  rejects({1.0, inf}, 3.0);
+  rejects({1.0, 2.0}, -1.0);
+  rejects({1.0, 2.0}, nan);
+  // A value is checked even when its count is zero, as record() checks.
+  LogHistogram hist;
+  EXPECT_THROW(hist.record_tally(std::vector<double>{1.0, nan},
+                                 std::vector<std::uint64_t>{1, 0}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(hist.record_tally(std::vector<double>{1.0},
+                                 std::vector<std::uint64_t>{1, 0}, 1.0),
+               std::invalid_argument);
+  EXPECT_TRUE(hist.empty());
+}
+
 TEST(LogHistogram, MergeRequiresIdenticalConfiguration) {
   LogHistogram a(1e-6, 1e6, 5);
   LogHistogram b(1e-6, 1e6, 4);

@@ -2,8 +2,12 @@
 // (Definition 2) and policy composition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/fluid_simulator.h"
 #include "core/migration.h"
@@ -365,6 +369,108 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SamplingPositivity,
     ::testing::Combine(::testing::Values(2, 3, 8),
                        ::testing::Values(0.01, 0.1, 0.5)));
+
+// --------------------------------------------------------- sample_from_cdf
+
+/// The reference sample_from_cdf must match: std::lower_bound's index,
+/// clamped to the last bucket.
+std::size_t lower_bound_index(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return std::min<std::size_t>(static_cast<std::size_t>(it - cdf.begin()),
+                               cdf.size() - 1);
+}
+
+std::uint64_t inverse_mod_2_64(std::uint64_t odd) {
+  std::uint64_t x = odd;  // Newton: 3 correct bits, doubling per step
+  for (int i = 0; i < 5; ++i) x *= 2 - odd * x;
+  return x;
+}
+
+/// A generator whose next uniform() is exactly `u` (a multiple of 2^-53
+/// in [0, 1)): xoshiro256**'s output rotl(s1 * 5, 7) * 9 depends on state
+/// word 1 alone and is invertible.
+Rng rng_yielding(double u) {
+  const auto k = static_cast<std::uint64_t>(std::ldexp(u, 53));
+  EXPECT_EQ(std::ldexp(static_cast<double>(k), -53), u);
+  const std::uint64_t output = k << 11;
+  const std::uint64_t s1 =
+      std::rotr(output * inverse_mod_2_64(9), 7) * inverse_mod_2_64(5);
+  Rng rng = Rng::from_state({1, s1, 0, 0});
+  Rng probe = rng;
+  EXPECT_EQ(probe.uniform(), u);
+  return rng;
+}
+
+/// sample_from_cdf(cdf) with the next variate forced to `u`, checked
+/// against the reference — and against consuming exactly one raw draw.
+void expect_sample_matches(const std::vector<double>& cdf, double u) {
+  Rng rng = rng_yielding(u);
+  Rng one_draw = rng;
+  one_draw();
+  EXPECT_EQ(sample_from_cdf(cdf, rng), lower_bound_index(cdf, u))
+      << "u = " << u << ", cdf size " << cdf.size();
+  EXPECT_EQ(rng.state(), one_draw.state());
+}
+
+TEST(SampleFromCdf, MatchesLowerBoundOnTiesAndZeroWidthBuckets) {
+  const double ulp = std::ldexp(1.0, -53);
+  const double below_one = 1.0 - ulp;
+  // Ties: a run of equal entries must resolve to its first index.
+  const std::vector<double> ties = {0.25, 0.5, 0.5, 0.5, 0.75, 1.0};
+  // Zero-width buckets at the start, middle and end.
+  const std::vector<double> zero_width = {0.0,   0.0,   0.375, 0.375,
+                                          0.375, 0.875, 1.0,   1.0};
+  for (const auto& cdf : {ties, zero_width}) {
+    for (const double u : {0.0, ulp, 0.25 - ulp, 0.25, 0.25 + ulp, 0.375,
+                           0.5 - ulp, 0.5, 0.5 + ulp, 0.75, 0.875 - ulp,
+                           0.875, below_one}) {
+      expect_sample_matches(cdf, u);
+    }
+  }
+}
+
+TEST(SampleFromCdf, SizeOneAndTheEndClamp) {
+  const double below_one = 1.0 - std::ldexp(1.0, -53);
+  for (const double u : {0.0, 0.5, below_one}) {
+    expect_sample_matches({1.0}, u);
+    expect_sample_matches({0.25}, u);  // u past the only entry: clamped
+  }
+  // u just below 1, with the last entry clamped to 1 or (round-off)
+  // short of u: both land on the last bucket.
+  expect_sample_matches({0.2, 0.999999, 1.0}, below_one);
+  expect_sample_matches({0.1, 0.2}, below_one);
+  expect_sample_matches({0.1, 0.2, 0.2}, below_one);
+  expect_sample_matches({0.5, below_one, below_one, 1.0}, below_one);
+}
+
+TEST(SampleFromCdf, MatchesLowerBoundOnRandomCdfs) {
+  Rng gen(31);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Sizes 1..40, with entries snapped to a coarse grid so ties and
+    // zero-width buckets are frequent.
+    std::vector<double> cdf(1 + gen.below(40));
+    double acc = 0.0;
+    for (double& v : cdf) {
+      acc += gen.below(3) == 0 ? 0.0 : static_cast<double>(gen.below(4));
+      v = acc;
+    }
+    for (double& v : cdf) v = acc > 0.0 ? v / acc : 1.0;
+    if (gen.below(2) == 0) cdf.back() = std::max(cdf.back(), 1.0);
+
+    Rng draw(gen());
+    Rng reference = draw;
+    const double u = reference.uniform();
+    ASSERT_EQ(sample_from_cdf(cdf, draw), lower_bound_index(cdf, u))
+        << "trial " << trial;
+    // A variate on (or, where the entry is no multiple of 2^-53, just
+    // below) an entry of the CDF.
+    const double entry = cdf[gen.below(cdf.size())];
+    if (entry < 1.0) {
+      expect_sample_matches(
+          cdf, std::ldexp(std::floor(std::ldexp(entry, 53)), -53));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace staleflow

@@ -15,6 +15,7 @@
 // unusable paths.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -22,11 +23,14 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -162,6 +166,26 @@ TEST(HistogramState, RejectsBadState) {
   EXPECT_THROW(  // min > max
       LogHistogram::from_state(1e-3, 1e3, 5, fine, 2.0, 1.0, 3.0),
       std::invalid_argument);
+}
+
+TEST(HistogramState, RejectsNegativeOrNonFiniteStatistics) {
+  using Buckets = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  const Buckets fine = {{5, 2}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(LogHistogram::from_state(1e-3, 1e3, 5, fine, 0.0, 1.0, 1.0));
+  for (const auto& [min, max, sum] :
+       {std::tuple{-1.0, 1.0, 1.0}, std::tuple{1.0, 1.0, nan},
+        std::tuple{nan, 1.0, 1.0}, std::tuple{1.0, nan, 1.0},
+        std::tuple{1.0, inf, 1.0}, std::tuple{1.0, 1.0, inf},
+        std::tuple{1.0, 1.0, -2.0}, std::tuple{-inf, 1.0, 1.0}}) {
+    EXPECT_THROW(LogHistogram::from_state(1e-3, 1e3, 5, fine, min, max, sum),
+                 std::invalid_argument)
+        << min << " " << max << " " << sum;
+    // An empty histogram's statistics are ignored, but still checked.
+    EXPECT_THROW(LogHistogram::from_state(1e-3, 1e3, 5, {}, min, max, sum),
+                 std::invalid_argument);
+  }
 }
 
 // ------------------------------------------------ incremental digest
@@ -533,6 +557,144 @@ TEST(RecoverWal, RejectsHeaderlessWal) {
   const std::string path = temp_path("headerless.wal");
   { recovery::WalWriter::create(path); }  // magic only, no records
   EXPECT_THROW(recovery::recover_wal(path), std::runtime_error);
+}
+
+// ------------------------------- decoders fail closed on corrupt fields
+
+/// Overwrites the 8 bytes at `offset` of a payload (binio's little-endian
+/// layout).
+std::string with_u64_at(std::string payload, std::size_t offset,
+                        std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+  return payload;
+}
+
+std::uint64_t u64_at(const std::string& payload, std::size_t offset) {
+  return binio::Reader(std::string_view(payload).substr(offset, 8)).u64();
+}
+
+std::string with_f64_at(std::string payload, std::size_t offset,
+                        double value) {
+  return with_u64_at(std::move(payload), offset,
+                     std::bit_cast<std::uint64_t>(value));
+}
+
+/// Offset of the flow count in an epoch-cut payload (encode_epoch_cut):
+/// the tenant word, 15 summary fields and 4 rng words precede it.
+constexpr std::size_t kCutFlowCountOffset = 4 + 15 * 8 + 4 * 8;
+
+/// Writes a clean single-server WAL, then rewrites it with record `index`
+/// (epoch 3's cut for index 7: header, then cut/mark pairs) replaced by
+/// `mutate(payload)` and re-checksummed — so only the decoder can object.
+std::string wal_with_mutated_record(
+    const std::string& name, std::size_t index,
+    const std::function<std::string(const std::string&)>& mutate) {
+  SingleRun fixture;
+  const std::string path = temp_path(name);
+  {
+    recovery::WalLog log(path, fixture.manifest());
+    fixture.run(log.round_observer());
+    log.finish();
+  }
+  const recovery::WalScan scan = recovery::scan_wal(path);
+  EXPECT_GT(scan.records.size(), index);
+  recovery::WalWriter writer = recovery::WalWriter::create(path);
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    const recovery::WalRecord& record = scan.records[i];
+    writer.append(record.type,
+                  i == index ? mutate(record.payload) : record.payload);
+  }
+  return path;
+}
+
+/// A cut whose flow, client-path or bucket count claims more elements
+/// than its payload holds (here 2^61) must throw std::runtime_error — the
+/// error recover_wal turns into a "corrupt WAL" stop — never
+/// std::length_error or std::bad_alloc from sizing a vector by it.
+TEST(WalDecode, OversizedCountsFailClosed) {
+  SingleRun fixture;
+  std::vector<EngineCheckpoint> cuts;
+  fixture.run(collect_cuts(cuts));
+  const std::string cut = recovery::encode_epoch_cut(0, cuts[3], 7);
+  const std::size_t paths = cuts[3].flow.size();
+  const std::size_t clients_at = kCutFlowCountOffset + 8 + 8 * paths;
+  const std::size_t buckets_at =
+      clients_at + 8 + 4 * cuts[3].client_paths.size() + 8 + 8 + 4;
+  // The offsets really hold the three counts.
+  ASSERT_EQ(u64_at(cut, kCutFlowCountOffset), paths);
+  ASSERT_EQ(u64_at(cut, clients_at), cuts[3].client_paths.size());
+  ASSERT_EQ(u64_at(cut, buckets_at),
+            nonzero_buckets(cuts[3].route_hist).size());
+  for (const std::size_t offset :
+       {kCutFlowCountOffset, clients_at, buckets_at}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+      EXPECT_THROW(
+          recovery::decode_epoch_cut(with_u64_at(cut, offset, count)),
+          std::runtime_error)
+          << "count " << count << " at " << offset;
+    }
+  }
+
+  // Round marks and trailers carry u32 counts of u64 words.
+  recovery::RoundMark mark;
+  mark.rounds = 4;
+  mark.credits = {1};
+  std::string bad_mark = recovery::encode_round_mark(mark);
+  bad_mark[8] = bad_mark[9] = bad_mark[10] = bad_mark[11] = '\xff';
+  EXPECT_THROW(recovery::decode_round_mark(bad_mark), std::runtime_error);
+  const std::vector<std::uint64_t> digests = {1, 2};
+  std::string bad_trailer = recovery::encode_trailer(digests);
+  bad_trailer[0] = bad_trailer[1] = bad_trailer[2] = bad_trailer[3] = '\xff';
+  EXPECT_THROW(recovery::decode_trailer(bad_trailer), std::runtime_error);
+
+  // A multi-tenant header claiming 2^32 - 1 tenants.
+  recovery::RunManifest manifest = fixture.manifest();
+  manifest.multi_tenant = true;
+  std::string header = recovery::encode_run_header(manifest);
+  const std::size_t count_at = 4 + 1 + 1 + 8 + manifest.faults.size();
+  for (std::size_t i = 0; i < 4; ++i) header[count_at + i] = '\xff';
+  EXPECT_THROW(recovery::decode_run_header(header), std::runtime_error);
+}
+
+TEST(WalDecode, OversizedCutCountStopsRecoveryAtTheLastGoodEpoch) {
+  const std::string path = wal_with_mutated_record(
+      "hugecount.wal", 7, [](const std::string& payload) {
+        const std::uint64_t paths = u64_at(payload, kCutFlowCountOffset);
+        return with_u64_at(payload, kCutFlowCountOffset + 8 + 8 * paths,
+                           std::uint64_t{1} << 61);
+      });
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  EXPECT_TRUE(state.truncated);
+  EXPECT_FALSE(state.clean_shutdown);
+  EXPECT_EQ(state.note.rfind("corrupt WAL:", 0), 0u) << state.note;
+  EXPECT_EQ(state.cuts[0].size(), 3u);
+  EXPECT_EQ(state.rounds, 3u);
+
+  // And the run resumes from there to the uninterrupted digest.
+  SingleRun clean;
+  const std::uint64_t golden = telemetry_digest(clean.run().epochs);
+  SingleRun resumed;
+  EXPECT_EQ(resume_single_to_completion(path, resumed), golden);
+}
+
+/// A cut whose route histogram carries min = -1 and sum = NaN decodes to
+/// an invalid state: recovery must stop there, not restore it.
+TEST(WalDecode, NegativeMinOrNanSumStopsRecovery) {
+  const std::string path = wal_with_mutated_record(
+      "badstats.wal", 7, [](const std::string& payload) {
+        // The cut ends with min, max, sum and the running digest.
+        const std::size_t min_at = payload.size() - 32;
+        return with_f64_at(
+            with_f64_at(payload, min_at, -1.0), min_at + 16,
+            std::numeric_limits<double>::quiet_NaN());
+      });
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  EXPECT_TRUE(state.truncated);
+  EXPECT_EQ(state.note.rfind("corrupt WAL:", 0), 0u) << state.note;
+  EXPECT_EQ(state.cuts[0].size(), 3u);
 }
 
 // ------------------------------------- single-server == one-tenant WAL

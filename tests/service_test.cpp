@@ -4,11 +4,14 @@
 // cases at the simulator/service boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,9 +20,11 @@
 #include "core/bulletin_board.h"
 #include "core/fluid_simulator.h"
 #include "equilibrium/metrics.h"
+#include "exec/executor.h"
 #include "net/flow.h"
 #include "net/generators.h"
 #include "service/service.h"
+#include "sweep/scenario.h"
 #include "util/rng.h"
 
 namespace staleflow {
@@ -594,6 +599,149 @@ TEST(TenantSpecs, RejectsMalformedSpecs) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("scenario"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("sub-batch"), std::string::npos);
+  }
+}
+
+// ------------------------------------------------------ client table
+
+/// Serves a multi-commodity instance (the 3x3 grid with two border-pair
+/// commodities) and collects every epoch's checkpoint.
+struct GridRun {
+  Instance instance = make_grid();
+  Policy policy = make_replicator_policy(instance);
+  WorkloadPtr workload = make_workload("closed-loop:1500");
+  RouteServerOptions options = small_options();
+
+  static Instance make_grid() {
+    Rng rng(3);
+    return ScenarioRegistry::builtin().at("multicommodity-grid-3x3").make(rng);
+  }
+
+  RouteServerResult run(std::vector<EngineCheckpoint>* cuts,
+                        std::span<const EngineCheckpoint> resume = {}) {
+    RouteServer server(instance, policy, *workload);
+    RoundCutObserver observer;
+    if (cuts != nullptr) {
+      observer = [cuts](const RoundCheckpoint& round) {
+        for (const auto& [tenant, cut] : round.cuts) cuts->push_back(cut);
+      };
+    }
+    return server.run(FlowVector::uniform(instance), options, nullptr,
+                      observer, resume);
+  }
+};
+
+/// Checkpoint -> restore -> continue equals the uninterrupted run for
+/// shard counts that do not divide the fleet, one shard, and one client
+/// per shard — the shapes of the engine's shard-major client table.
+TEST(ClientTable, CheckpointRestoreContinueIsBitIdentical) {
+  struct Shape {
+    std::size_t clients;
+    std::size_t shards;
+    std::size_t sub_batch;
+  };
+  for (const Shape shape : {Shape{1003, 7, 16384}, Shape{1003, 7, 40},
+                            Shape{500, 1, 16384}, Shape{64, 64, 16384}}) {
+    GridRun fixture;
+    fixture.options.num_clients = shape.clients;
+    fixture.options.shards = shape.shards;
+    fixture.options.sub_batch_queries = shape.sub_batch;
+    fixture.options.epochs = 12;
+    std::vector<EngineCheckpoint> cuts;
+    const RouteServerResult full = fixture.run(&cuts);
+    ASSERT_EQ(cuts.size(), fixture.options.epochs);
+    ASSERT_GT(full.total_migrations, 0u) << shape.clients;
+    const std::uint64_t golden = telemetry_digest(full.epochs);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                std::size_t{11}}) {
+      const RouteServerResult resumed =
+          fixture.run(nullptr, std::span(cuts).subspan(0, k));
+      const std::string label = std::to_string(shape.clients) + " clients, " +
+                                std::to_string(shape.shards) +
+                                " shards, cut " + std::to_string(k);
+      EXPECT_EQ(telemetry_digest(resumed.epochs), golden) << label;
+      EXPECT_TRUE(resumed.route_latency == full.route_latency) << label;
+      EXPECT_TRUE(std::equal(resumed.final_flow.values().begin(),
+                             resumed.final_flow.values().end(),
+                             full.final_flow.values().begin(),
+                             full.final_flow.values().end()))
+          << label;
+      // The resumed run's own cuts continue the original's exactly,
+      // client paths included.
+      std::vector<EngineCheckpoint> resumed_cuts;
+      fixture.run(&resumed_cuts, std::span(cuts).subspan(0, k));
+      ASSERT_EQ(resumed_cuts.size(), cuts.size() - k) << label;
+      EXPECT_EQ(resumed_cuts.back().client_paths, cuts.back().client_paths)
+          << label;
+    }
+  }
+}
+
+/// The first epoch served by a plain client-id-indexed reference: a
+/// Population in client-id order, shard s owning clients s, s + shards,
+/// ..., each sub-batch drawing client ids from its slice with
+/// Rng::below — the engine's plan and streams, without its table.
+std::vector<std::uint32_t> reference_epoch0_paths(GridRun& fixture) {
+  const Instance& instance = fixture.instance;
+  const RouteServerOptions& options = fixture.options;
+  Population population(instance, options.num_clients,
+                        FlowVector::uniform(instance).values());
+  const BoardSnapshot snapshot(instance, fixture.policy, 0, 0.0,
+                               population.empirical_flow());
+  const std::span<const double> latency = snapshot.board().path_latency();
+
+  Rng master(options.seed);
+  Rng epoch_rng = master.split();
+  Rng arrivals_rng = epoch_rng.split();
+  const std::size_t total = fixture.workload->arrivals(
+      0, 0.0, options.update_period, LoadFeedback{}, arrivals_rng);
+  const std::size_t shards = options.shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t batch = total / shards + (s < total % shards ? 1 : 0);
+    const std::size_t shard_clients =
+        options.num_clients / shards + (s < options.num_clients % shards);
+    const std::size_t pieces =
+        sub_batch_count(batch, options.sub_batch_queries, shard_clients);
+    for (std::size_t piece = 0; piece < pieces; ++piece) {
+      const SubRange slice = sub_range(shard_clients, pieces, piece);
+      Rng rng = epoch_rng.split();
+      for (std::size_t q = 0; q < sub_range(batch, pieces, piece).count;
+           ++q) {
+        const std::size_t client =
+            s + shards * (slice.begin + rng.below(slice.count));
+        const CommodityId c = population.commodity_of(client);
+        const Commodity& commodity = instance.commodity(c);
+        const std::size_t sampled = sample_from_cdf(snapshot.cdf(c), rng);
+        const std::size_t current = population.local_path(client);
+        if (sampled == current) continue;
+        const double mu = fixture.policy.migration().probability(
+            latency[commodity.paths[current].index()],
+            latency[commodity.paths[sampled].index()]);
+        if (rng.bernoulli(mu)) population.reassign(client, sampled);
+      }
+    }
+  }
+  std::vector<std::uint32_t> paths(population.size());
+  for (std::size_t client = 0; client < paths.size(); ++client) {
+    paths[client] = static_cast<std::uint32_t>(population.local_path(client));
+  }
+  return paths;
+}
+
+TEST(ClientTable, CheckpointListsClientPathsInClientIdOrder) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{1003}}) {
+    GridRun fixture;
+    fixture.options.num_clients = 1003;
+    fixture.options.shards = shards;
+    fixture.options.sub_batch_queries = 100;  // split the larger shards
+    fixture.options.epochs = 1;
+    std::vector<EngineCheckpoint> cuts;
+    const RouteServerResult result = fixture.run(&cuts);
+    ASSERT_EQ(cuts.size(), 1u);
+    ASSERT_GT(result.total_migrations, 0u);
+    EXPECT_EQ(cuts[0].client_paths, reference_epoch0_paths(fixture))
+        << shards << " shards";
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/rng.h"
@@ -191,6 +192,59 @@ TEST(Rng, StateRoundTripPreservesSplitStreams) {
 
 TEST(Rng, FromStateRejectsAllZeroState) {
   EXPECT_THROW(Rng::from_state({0, 0, 0, 0}), std::invalid_argument);
+}
+
+// UniformBelow is Rng::below with the per-n work hoisted: for every n it
+// must return the same values AND consume the same raw draws (identical
+// state() afterwards), rejection loop included — the serve loop's client
+// draws depend on it bit for bit.
+TEST(UniformBelow, MatchesRngBelowValueForValueAndDrawForDraw) {
+  std::vector<std::uint64_t> sizes = {1,
+                                      2,
+                                      3,
+                                      7,
+                                      std::uint64_t{1} << 31,
+                                      (std::uint64_t{1} << 32) - 1,
+                                      std::uint64_t{1} << 32,
+                                      // Large n reject often: the
+                                      // threshold is near 2^63.
+                                      (std::uint64_t{1} << 63) + 1,
+                                      ~std::uint64_t{0}};
+  Rng pick(2024);
+  for (int i = 0; i < 40; ++i) sizes.push_back(pick.below(1'000'000) + 1);
+  for (int i = 0; i < 40; ++i) sizes.push_back((pick() >> 32) + 1);
+  for (int i = 0; i < 10; ++i) sizes.push_back(pick() | 1);
+
+  for (const std::uint64_t n : sizes) {
+    const UniformBelow draw(n);
+    Rng a(n ^ 0x5EED), b(n ^ 0x5EED);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(draw(a), b.below(n)) << "n " << n << " draw " << i;
+    }
+    EXPECT_EQ(a.state(), b.state()) << "n " << n;
+  }
+  EXPECT_THROW(UniformBelow(0), std::invalid_argument);
+}
+
+// The division-free remainder is exact for every 64-bit r, edges included.
+TEST(UniformBelow, RemainderIsExact) {
+  Rng rng(8);
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{10}, (std::uint64_t{1} << 32) - 1,
+        std::uint64_t{1} << 32, (std::uint64_t{1} << 63) + 7,
+        ~std::uint64_t{0}}) {
+    const UniformBelow draw(n);
+    for (const std::uint64_t r :
+         {std::uint64_t{0}, n - 1, n, n + 1, ~std::uint64_t{0},
+          ~std::uint64_t{0} - n}) {
+      EXPECT_EQ(draw.remainder(r), r % n) << "n " << n << " r " << r;
+    }
+    for (int i = 0; i < 10'000; ++i) {
+      const std::uint64_t r = rng();
+      ASSERT_EQ(draw.remainder(r), r % n) << "n " << n << " r " << r;
+    }
+  }
 }
 
 TEST(RunningStats, BasicMoments) {
