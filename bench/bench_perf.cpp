@@ -2,7 +2,14 @@
 // building blocks every experiment leans on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "staleflow/staleflow.h"
+#include "util/fnv.h"
 
 namespace staleflow {
 namespace {
@@ -125,6 +132,82 @@ void BM_BestResponsePhase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BestResponsePhase);
+
+/// 1 MB of record bytes cut into 16 records of 64 KiB: what a WAL scan
+/// checksums.
+std::vector<std::string_view> checksum_spans(const std::string& bytes) {
+  std::vector<std::string_view> spans;
+  for (std::size_t at = 0; at < bytes.size(); at += 64 * 1024) {
+    spans.push_back(std::string_view(bytes).substr(at, 64 * 1024));
+  }
+  return spans;
+}
+
+std::string megabyte() {
+  std::string bytes(1 << 20, '\0');
+  Rng rng(3);
+  for (char& byte : bytes) byte = static_cast<char>(rng.below(256));
+  return bytes;
+}
+
+void BM_FnvSerial(benchmark::State& state) {
+  const std::string bytes = megabyte();
+  const std::vector<std::string_view> spans = checksum_spans(bytes);
+  std::vector<std::uint64_t> sums(spans.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      sums[i] = fnv::kOffsetBasis;
+      fnv::hash_bytes(sums[i], spans[i].data(), spans[i].size());
+    }
+    benchmark::DoNotOptimize(sums.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FnvSerial);
+
+void BM_FnvFourLanes(benchmark::State& state) {
+  const std::string bytes = megabyte();
+  const std::vector<std::string_view> spans = checksum_spans(bytes);
+  std::vector<std::uint64_t> sums(spans.size());
+  for (auto _ : state) {
+    std::fill(sums.begin(), sums.end(), fnv::kOffsetBasis);
+    fnv::hash_lanes(spans, sums);
+    benchmark::DoNotOptimize(sums.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FnvFourLanes);
+
+/// A 40,000-client cut on 8 paths, as a WAL records it.
+EngineCheckpoint large_cut() {
+  EngineCheckpoint cut;
+  cut.summary.epoch = 0;
+  Rng rng(9);
+  cut.flow.assign(8, 0.125);
+  for (std::size_t c = 0; c < 40'000; ++c) {
+    cut.client_paths.push_back(static_cast<std::uint32_t>(rng.below(8)));
+  }
+  for (int i = 0; i < 1000; ++i) cut.route_hist.record(rng.uniform(1.0, 9.0));
+  return cut;
+}
+
+void BM_EncodeEpochCut(benchmark::State& state) {
+  const EngineCheckpoint cut = large_cut();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(recovery::encode_epoch_cut(0, cut, 1));
+  }
+}
+BENCHMARK(BM_EncodeEpochCut);
+
+void BM_DecodeEpochCut(benchmark::State& state) {
+  const std::string payload = recovery::encode_epoch_cut(0, large_cut(), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(recovery::decode_epoch_cut(payload));
+  }
+}
+BENCHMARK(BM_DecodeEpochCut);
 
 }  // namespace
 }  // namespace staleflow

@@ -133,9 +133,9 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   w.f64(s.queries_per_second);
   for (const std::uint64_t word : cut.rng_state) w.u64(word);
   w.u64(cut.flow.size());
-  for (const double f : cut.flow) w.f64(f);
+  w.f64s(cut.flow);
   w.u64(cut.client_paths.size());
-  for (const std::uint32_t p : cut.client_paths) w.u32(p);
+  w.u32s(cut.client_paths);
 
   const LogHistogram& h = cut.route_hist;
   w.f64(h.min_value());
@@ -186,15 +186,11 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   s.p999_us = r.f64();
   s.queries_per_second = r.f64();
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
-  const std::size_t paths = checked_count(r, r.u64(), 8, "WAL cut: flow");
-  record.cut.flow.reserve(paths);
-  for (std::size_t i = 0; i < paths; ++i) record.cut.flow.push_back(r.f64());
-  const std::size_t clients =
-      checked_count(r, r.u64(), 4, "WAL cut: client path");
-  record.cut.client_paths.reserve(clients);
-  for (std::size_t i = 0; i < clients; ++i) {
-    record.cut.client_paths.push_back(r.u32());
-  }
+  record.cut.flow.resize(checked_count(r, r.u64(), 8, "WAL cut: flow"));
+  r.f64s(record.cut.flow);
+  record.cut.client_paths.resize(
+      checked_count(r, r.u64(), 4, "WAL cut: client path"));
+  r.u32s(record.cut.client_paths);
 
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();

@@ -12,7 +12,9 @@
 // same FNV-1a the telemetry digests use), so a torn write, a short tail
 // or a flipped bit fails verification and the scanner truncates the log
 // at the last record that checks out; nothing after a bad record is ever
-// trusted (a gap breaks the prefix property recovery depends on).
+// trusted (a gap breaks the prefix property recovery depends on). The
+// trace file (trace/trace_format.h) uses the same framing, and one
+// scanner (util/framed_scan.h) reads both.
 //
 // Record types (payload encodings live in recovery/run_log.h):
 //   kRunHeader  — exactly once, first: the run's full configuration
@@ -28,7 +30,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+
+#include "util/framed_scan.h"
 
 namespace staleflow::recovery {
 
@@ -57,13 +60,12 @@ enum class RecordType : std::uint32_t {
   kTrailer = 4,
 };
 
-/// One decoded-from-disk record. `end_offset` is the file offset just
-/// past this record — the truncation point tests and resume use to treat
-/// any prefix of a WAL as a crash image.
-struct WalRecord {
-  RecordType type = RecordType::kRunHeader;
-  std::string payload;
-  std::uint64_t end_offset = 0;
-};
+/// One verified record (util/framed_scan.h): its type, its payload as a
+/// view into the WalScan that read it, and `end_offset`, the file offset
+/// just past the record — the truncation point tests and resume use to
+/// treat any prefix of a WAL as a crash image. The payload view lives as
+/// long as that WalScan, wherever it is moved; copy it out to keep it
+/// longer.
+using WalRecord = framed::Record<RecordType>;
 
 }  // namespace staleflow::recovery

@@ -1,86 +1,17 @@
 #include "recovery/wal_reader.h"
 
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
-
-#include "util/binio.h"
-#include "util/fnv.h"
-
 namespace staleflow::recovery {
 
 WalScan scan_wal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("scan_wal: cannot open '" + path + "'");
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error("scan_wal: read failed on '" + path + "'");
-  }
-  if (contents.size() < sizeof(kWalMagic) ||
-      std::memcmp(contents.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
-    throw std::runtime_error("scan_wal: '" + path +
-                             "' is not a WAL (bad magic)");
-  }
-
-  WalScan scan;
-  scan.valid_bytes = sizeof(kWalMagic);
-  std::size_t offset = sizeof(kWalMagic);
-  // Frame overhead around each payload: u32 length + u32 type + u64 sum.
-  constexpr std::size_t kFrameBytes = 4 + 4 + 8;
-  while (offset < contents.size()) {
-    if (contents.size() - offset < kFrameBytes) {
-      scan.truncated = true;
-      scan.note = "torn tail: short record frame";
-      break;
-    }
-    binio::Reader head(
-        std::string_view(contents).substr(offset, 8));
-    const std::uint32_t length = head.u32();
-    const std::uint32_t type_word = head.u32();
-    if (length > kMaxRecordPayload) {
-      scan.truncated = true;
-      scan.note = "corrupt record: impossible payload length";
-      break;
-    }
-    if (contents.size() - offset - kFrameBytes < length) {
-      scan.truncated = true;
-      scan.note = "torn tail: payload shorter than its length field";
-      break;
-    }
-    const std::string_view payload =
-        std::string_view(contents).substr(offset + 8, length);
-    std::uint64_t checksum = fnv::kOffsetBasis;
-    fnv::hash_bytes(checksum, contents.data() + offset + 4, 4);
-    fnv::hash_bytes(checksum, payload.data(), payload.size());
-    binio::Reader foot(
-        std::string_view(contents).substr(offset + 8 + length, 8));
-    if (foot.u64() != checksum) {
-      scan.truncated = true;
-      scan.note = "corrupt record: checksum mismatch";
-      break;
-    }
-    if (type_word < static_cast<std::uint32_t>(RecordType::kRunHeader) ||
-        type_word > static_cast<std::uint32_t>(RecordType::kTrailer)) {
-      scan.truncated = true;
-      scan.note = "corrupt record: unknown record type";
-      break;
-    }
-    offset += kFrameBytes + length;
-    WalRecord record;
-    record.type = static_cast<RecordType>(type_word);
-    record.payload = std::string(payload);
-    record.end_offset = offset;
-    scan.records.push_back(std::move(record));
-    scan.valid_bytes = offset;
-  }
-  if (!scan.truncated && offset != contents.size()) {
-    scan.truncated = true;
-    scan.note = "torn tail: trailing bytes after last record";
-  }
-  return scan;
+  static constexpr framed::FrameFormat kWal{
+      .magic = std::string_view(kWalMagic, sizeof(kWalMagic)),
+      .max_payload = kMaxRecordPayload,
+      .min_type = static_cast<std::uint32_t>(RecordType::kRunHeader),
+      .max_type = static_cast<std::uint32_t>(RecordType::kTrailer),
+      .caller = "scan_wal",
+      .noun = "a WAL",
+  };
+  return framed::scan_typed<RecordType>(path, kWal);
 }
 
 }  // namespace staleflow::recovery

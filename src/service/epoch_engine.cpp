@@ -558,12 +558,21 @@ RouteServerResult EpochEngine::finish(double wall_seconds) {
     throw std::logic_error(
         "EpochEngine::finish: run at least one epoch to completion first");
   }
-  RouteServerResult result{FlowVector(*instance_, std::move(flow_))};
-  result.epochs = std::move(epochs_);
-  result.total_queries = total_queries_;
-  result.total_migrations = total_migrations_;
-  result.final_gap = result.epochs.back().wardrop_gap;
-  result.route_latency = run_route_;
+  const double final_gap = epochs_.back().wardrop_gap;
+  RouteServerResult result{
+      .final_flow = FlowVector(*instance_, std::move(flow_)),
+      .epochs = std::move(epochs_),
+      .total_queries = total_queries_,
+      .total_migrations = total_migrations_,
+      .final_gap = final_gap,
+      .route_latency = run_route_,
+      .wall_latency_us = LogHistogram(),
+      .wall_seconds = 0.0,
+      .queries_per_second = 0.0,
+      .p50_us = 0.0,
+      .p99_us = 0.0,
+      .p999_us = 0.0,
+  };
   if (options_.record_latency) {
     result.wall_latency_us = run_wall_us_;
     result.wall_seconds = wall_seconds;

@@ -42,6 +42,7 @@
 #include <string_view>
 
 #include "util/binio.h"
+#include "util/framed_scan.h"
 
 namespace staleflow::trace {
 
@@ -119,13 +120,10 @@ struct TraceEvent {
 
 inline constexpr std::size_t kEventBytes = 2 + 4 + 8 * 5;
 
-/// One decoded-from-disk record; `end_offset` is the file offset just
-/// past it (the truncation point the torn-tail tests pin).
-struct TraceRecord {
-  TraceRecordType type = TraceRecordType::kTraceHeader;
-  std::string payload;
-  std::uint64_t end_offset = 0;
-};
+/// One verified record; `payload` views the TraceScan that read it and
+/// `end_offset` is the file offset just past it (the truncation point the
+/// torn-tail tests pin).
+using TraceRecord = framed::Record<TraceRecordType>;
 
 /// Appends one event in the fixed kEventBytes layout.
 void encode_event(binio::Writer& writer, const TraceEvent& event);

@@ -1,88 +1,22 @@
 #include "trace/trace_reader.h"
 
-#include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include "util/binio.h"
-#include "util/fnv.h"
 
 namespace staleflow::trace {
 
 TraceScan scan_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("scan_trace: cannot open '" + path + "'");
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw std::runtime_error("scan_trace: read failed on '" + path + "'");
-  }
-  if (contents.size() < sizeof(kTraceMagic) ||
-      std::memcmp(contents.data(), kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    throw std::runtime_error("scan_trace: '" + path +
-                             "' is not a trace (bad magic)");
-  }
-
-  TraceScan scan;
-  scan.valid_bytes = sizeof(kTraceMagic);
-  std::size_t offset = sizeof(kTraceMagic);
-  // Frame overhead around each payload: u32 length + u32 type + u64 sum.
-  constexpr std::size_t kFrameBytes = 4 + 4 + 8;
-  while (offset < contents.size()) {
-    if (contents.size() - offset < kFrameBytes) {
-      scan.truncated = true;
-      scan.note = "torn tail: short record frame";
-      break;
-    }
-    binio::Reader head(std::string_view(contents).substr(offset, 8));
-    const std::uint32_t length = head.u32();
-    const std::uint32_t type_word = head.u32();
-    if (length > kMaxTracePayload) {
-      scan.truncated = true;
-      scan.note = "corrupt record: impossible payload length";
-      break;
-    }
-    if (contents.size() - offset - kFrameBytes < length) {
-      scan.truncated = true;
-      scan.note = "torn tail: payload shorter than its length field";
-      break;
-    }
-    const std::string_view payload =
-        std::string_view(contents).substr(offset + 8, length);
-    std::uint64_t checksum = fnv::kOffsetBasis;
-    fnv::hash_bytes(checksum, contents.data() + offset + 4, 4);
-    fnv::hash_bytes(checksum, payload.data(), payload.size());
-    binio::Reader foot(
-        std::string_view(contents).substr(offset + 8 + length, 8));
-    if (foot.u64() != checksum) {
-      scan.truncated = true;
-      scan.note = "corrupt record: checksum mismatch";
-      break;
-    }
-    if (type_word <
-            static_cast<std::uint32_t>(TraceRecordType::kTraceHeader) ||
-        type_word >
-            static_cast<std::uint32_t>(TraceRecordType::kTraceTrailer)) {
-      scan.truncated = true;
-      scan.note = "corrupt record: unknown record type";
-      break;
-    }
-    offset += kFrameBytes + length;
-    TraceRecord record;
-    record.type = static_cast<TraceRecordType>(type_word);
-    record.payload = std::string(payload);
-    record.end_offset = offset;
-    scan.records.push_back(std::move(record));
-    scan.valid_bytes = offset;
-  }
-  if (!scan.truncated && offset != contents.size()) {
-    scan.truncated = true;
-    scan.note = "torn tail: trailing bytes after last record";
-  }
-  return scan;
+  static constexpr framed::FrameFormat kTrace{
+      .magic = std::string_view(kTraceMagic, sizeof(kTraceMagic)),
+      .max_payload = kMaxTracePayload,
+      .min_type = static_cast<std::uint32_t>(TraceRecordType::kTraceHeader),
+      .max_type = static_cast<std::uint32_t>(TraceRecordType::kTraceTrailer),
+      .caller = "scan_trace",
+      .noun = "a trace",
+  };
+  return framed::scan_typed<TraceRecordType>(path, kTrace);
 }
 
 LoadedTrace load_trace(const std::string& path) {

@@ -1,10 +1,12 @@
 // Offline trace decoding: frame scan (torn-tail tolerant) and full load.
 //
-// scan_trace mirrors recovery's scan_wal exactly: trust the longest
-// prefix of records whose length, checksum, and type all verify, mark
-// the scan truncated at the first record that doesn't, and report the
-// byte count of the trusted prefix. A trace torn mid-flush by a crash
-// is therefore analyzable up to the last completed drain.
+// scan_trace is recovery's scan_wal with the trace's magic, payload cap
+// and type range: both call the one framed-record scanner
+// (util/framed_scan.h). It trusts the longest prefix of records whose
+// length, checksum, and type all verify, marks the scan truncated at the
+// first record that doesn't, and reports the byte count of the trusted
+// prefix. A trace torn mid-flush by a crash is therefore analyzable up
+// to the last completed drain.
 //
 // load_trace decodes the trusted records into typed data: timestamped
 // events with worker attribution, counter definitions + sampled time
@@ -19,14 +21,10 @@
 
 namespace staleflow::trace {
 
-struct TraceScan {
-  std::vector<TraceRecord> records;
-  /// Magic + every verified record; what a repair would truncate to.
-  std::uint64_t valid_bytes = 0;
-  bool truncated = false;
-  /// Why the scan stopped early, when it did.
-  std::string note;
-};
+/// records (payloads view the scan's own copy of the file), valid_bytes
+/// (magic + every verified record; what a repair would truncate to),
+/// truncated, and note (why the scan stopped early, when it did).
+using TraceScan = framed::Scan<TraceRecordType>;
 
 /// Scans `path`, verifying frame lengths, checksums, and record types.
 /// Throws std::runtime_error only for I/O failure or bad magic; framing

@@ -105,6 +105,38 @@ TEST(BinIO, ReaderThrowsOnUnderrun) {
   EXPECT_THROW(r2.str(), std::runtime_error);
 }
 
+TEST(BinIO, ArrayCallsMatchPerElementCalls) {
+  const std::vector<std::uint32_t> words = {0, 1, 0xDEADBEEF, 0xFFFFFFFF};
+  const std::vector<double> doubles = {-0.0, 1.5,
+                                       std::numeric_limits<double>::infinity()};
+  binio::Writer block;
+  block.u32s(words);
+  block.f64s(doubles);
+  block.u32s({});
+  binio::Writer serial;
+  for (const std::uint32_t word : words) serial.u32(word);
+  for (const double value : doubles) serial.f64(value);
+  EXPECT_EQ(block.data(), serial.data());
+
+  binio::Reader reader(serial.data());
+  std::vector<std::uint32_t> words_back(words.size());
+  std::vector<double> doubles_back(doubles.size());
+  reader.u32s(words_back);
+  reader.f64s(doubles_back);
+  EXPECT_TRUE(reader.done());
+  EXPECT_EQ(words_back, words);
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(doubles_back[i]),
+              std::bit_cast<std::uint64_t>(doubles[i]));
+  }
+
+  // One element more than the bytes hold throws and consumes nothing.
+  binio::Reader short_reader(std::string_view(serial.data()).substr(0, 15));
+  std::vector<std::uint32_t> four(4);
+  EXPECT_THROW(short_reader.u32s(four), std::runtime_error);
+  EXPECT_EQ(short_reader.remaining(), 15u);
+}
+
 // ------------------------------------------- LogHistogram::from_state
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> nonzero_buckets(
@@ -604,7 +636,8 @@ std::string wal_with_mutated_record(
   for (std::size_t i = 0; i < scan.records.size(); ++i) {
     const recovery::WalRecord& record = scan.records[i];
     writer.append(record.type,
-                  i == index ? mutate(record.payload) : record.payload);
+                  i == index ? mutate(std::string(record.payload))
+                             : record.payload);
   }
   return path;
 }
@@ -678,6 +711,140 @@ TEST(WalDecode, OversizedCutCountStopsRecoveryAtTheLastGoodEpoch) {
   const std::uint64_t golden = telemetry_digest(clean.run().epochs);
   SingleRun resumed;
   EXPECT_EQ(resume_single_to_completion(path, resumed), golden);
+}
+
+// ------------------------------------------------- block cut codec
+
+/// A cut with `clients` clients on `paths` paths, every field set, the
+/// flow holding -0.0 and a subnormal so bit patterns are exercised.
+EngineCheckpoint synthetic_cut(std::size_t clients, std::size_t paths) {
+  EngineCheckpoint cut;
+  EpochSummary& s = cut.summary;
+  s.epoch = 11;
+  s.start_time = 1.1;
+  s.end_time = 1.2000000000000002;
+  s.queries = 4321;
+  s.migrations = 77;
+  s.migration_rate = 77.0 / 4321.0;
+  s.wardrop_gap = 0.015625;
+  s.board_latency = 2.5;
+  s.route_p50 = 1.0;
+  s.route_p99 = 2.0;
+  s.route_p999 = 3.0;
+  s.p50_us = 0.25;
+  s.p99_us = 0.5;
+  s.p999_us = 0.75;
+  s.queries_per_second = 1e7;
+  cut.rng_state = {0x0123456789ABCDEFULL, 2, 3, ~std::uint64_t{0}};
+  Rng rng(clients * 31 + paths);
+  for (std::size_t p = 0; p < paths; ++p) {
+    cut.flow.push_back(p == 0   ? -0.0
+                       : p == 1 ? std::numeric_limits<double>::denorm_min()
+                                : rng.uniform());
+  }
+  for (std::size_t c = 0; c < clients; ++c) {
+    cut.client_paths.push_back(
+        c == 1 ? 0xFFFFFFFFu : static_cast<std::uint32_t>(rng.below(paths)));
+  }
+  for (int i = 0; i < 200; ++i) cut.route_hist.record(rng.uniform(0.5, 40.0));
+  return cut;
+}
+
+/// encode_epoch_cut's layout written one field at a time: the bytes the
+/// block codec must reproduce.
+std::string per_field_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
+                          std::uint64_t digest_so_far) {
+  binio::Writer w;
+  w.u32(tenant);
+  const EpochSummary& s = cut.summary;
+  w.u64(s.epoch);
+  w.f64(s.start_time);
+  w.f64(s.end_time);
+  w.u64(s.queries);
+  w.u64(s.migrations);
+  for (const double field :
+       {s.migration_rate, s.wardrop_gap, s.board_latency, s.route_p50,
+        s.route_p99, s.route_p999, s.p50_us, s.p99_us, s.p999_us,
+        s.queries_per_second}) {
+    w.f64(field);
+  }
+  for (const std::uint64_t word : cut.rng_state) w.u64(word);
+  w.u64(cut.flow.size());
+  for (const double f : cut.flow) w.f64(f);
+  w.u64(cut.client_paths.size());
+  for (const std::uint32_t p : cut.client_paths) w.u32(p);
+  const LogHistogram& h = cut.route_hist;
+  w.f64(h.min_value());
+  w.f64(h.max_value());
+  w.u32(h.sub_bucket_bits());
+  const auto buckets = nonzero_buckets(h);
+  w.u64(buckets.size());
+  for (const auto& [bucket, count] : buckets) {
+    w.u64(bucket);
+    w.u64(count);
+  }
+  w.f64(h.empty() ? 0.0 : h.min());
+  w.f64(h.empty() ? 0.0 : h.max());
+  w.f64(h.empty() ? 0.0 : h.sum());
+  w.u64(digest_so_far);
+  return w.take();
+}
+
+TEST(WalDecode, BlockCodecRoundTripsCutsOfEverySize) {
+  for (const std::size_t clients : {0u, 1u, 3u, 40000u}) {
+    const EngineCheckpoint cut = synthetic_cut(clients, 5);
+    const std::string bytes = recovery::encode_epoch_cut(2, cut, 99);
+    EXPECT_EQ(bytes, per_field_cut(2, cut, 99)) << clients << " clients";
+
+    const recovery::CutRecord back = recovery::decode_epoch_cut(bytes);
+    EXPECT_EQ(back.tenant, 2u);
+    EXPECT_EQ(back.digest_so_far, 99u);
+    EXPECT_EQ(back.cut.summary.epoch, cut.summary.epoch);
+    EXPECT_EQ(telemetry_digest_accumulate(fnv::kOffsetBasis,
+                                          back.cut.summary),
+              telemetry_digest_accumulate(fnv::kOffsetBasis, cut.summary));
+    EXPECT_EQ(back.cut.rng_state, cut.rng_state);
+    ASSERT_EQ(back.cut.flow.size(), cut.flow.size());
+    for (std::size_t p = 0; p < cut.flow.size(); ++p) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.cut.flow[p]),
+                std::bit_cast<std::uint64_t>(cut.flow[p]));
+    }
+    EXPECT_EQ(back.cut.client_paths, cut.client_paths);
+    EXPECT_TRUE(back.cut.route_hist == cut.route_hist);
+    EXPECT_EQ(recovery::encode_epoch_cut(2, back.cut, 99), bytes);
+  }
+}
+
+TEST(WalDecode, BlockCodecMatchesThePerFieldBytesOfARealCut) {
+  SingleRun fixture;
+  std::vector<EngineCheckpoint> cuts;
+  fixture.run(collect_cuts(cuts));
+  for (std::size_t e = 0; e < cuts.size(); ++e) {
+    EXPECT_EQ(recovery::encode_epoch_cut(0, cuts[e], e),
+              per_field_cut(0, cuts[e], e))
+        << "epoch " << e;
+  }
+}
+
+TEST(WalDecode, ClientCountOneTooLargeFailsClosed) {
+  // Client counts past what was encoded: one more (the block read takes
+  // the histogram's first bytes and the decoder runs short later) and
+  // 2^30 (refused by the count check before any vector is sized).
+  const EngineCheckpoint cut = synthetic_cut(3, 2);
+  const std::string bytes = recovery::encode_epoch_cut(0, cut, 1);
+  const std::size_t clients_at = kCutFlowCountOffset + 8 + 8 * 2;
+  ASSERT_EQ(u64_at(bytes, clients_at), 3u);
+  for (const std::uint64_t count :
+       {std::uint64_t{4}, std::uint64_t{1} << 30}) {
+    EXPECT_THROW(
+        recovery::decode_epoch_cut(with_u64_at(bytes, clients_at, count)),
+        std::runtime_error)
+        << count;
+  }
+  // A flow count one short shifts every later field: also refused.
+  EXPECT_THROW(recovery::decode_epoch_cut(
+                   with_u64_at(bytes, kCutFlowCountOffset, 1)),
+               std::runtime_error);
 }
 
 /// A cut whose route histogram carries min = -1 and sum = NaN decodes to

@@ -1,13 +1,18 @@
-// Tests for the util module: deterministic RNG, statistics, table/CSV.
+// Tests for the util module: deterministic RNG, statistics, table/CSV,
+// the four-lane FNV-1a kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/csv.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/statistics.h"
 #include "util/table.h"
@@ -395,6 +400,41 @@ TEST(CsvWriter, RejectsWrongColumnCount) {
   EXPECT_THROW(csv.add_row({"1"}), std::invalid_argument);
   csv.close();
   std::remove(path.c_str());
+}
+
+TEST(FnvLanes, MatchesHashBytesForEveryMixOfLengths) {
+  // Span lengths straddling the lane refill points: empty, shorter and
+  // longer than a 4-byte word, and long enough that the other lanes cycle
+  // through many spans while one runs.
+  const std::vector<std::size_t> lengths = {0, 1, 3, 4, 5, 7, 64, 100000};
+  Rng rng(29);
+  std::string bytes(lengths.back() * 9, '\0');
+  for (char& byte : bytes) byte = static_cast<char>(rng.below(256));
+
+  for (std::size_t count = 0; count <= 9; ++count) {
+    for (std::size_t mix = 0; mix < 40; ++mix) {
+      std::vector<std::string_view> spans;
+      std::size_t at = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        // The first mixes rotate through the lengths in order; the rest
+        // draw them at random, so equal and unequal neighbours both occur.
+        const std::size_t length =
+            mix < lengths.size() ? lengths[(mix + i) % lengths.size()]
+                                 : lengths[rng.below(lengths.size())];
+        spans.push_back(std::string_view(bytes).substr(at, length));
+        at += length;
+      }
+      // Lanes continue from any starting state, as hash_bytes does.
+      std::vector<std::uint64_t> lanes(count);
+      std::vector<std::uint64_t> serial(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        lanes[i] = serial[i] = fnv::kOffsetBasis + i * mix;
+        fnv::hash_bytes(serial[i], spans[i].data(), spans[i].size());
+      }
+      fnv::hash_lanes(spans, lanes);
+      EXPECT_EQ(lanes, serial) << count << " spans, mix " << mix;
+    }
+  }
 }
 
 }  // namespace
