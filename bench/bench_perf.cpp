@@ -209,6 +209,46 @@ void BM_DecodeEpochCut(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeEpochCut);
 
+/// A default-geometry histogram with `occupied` adjacent nonzero buckets:
+/// a few (a served sub-batch holds one value per path, here from 1.0 up)
+/// or all 1,916 (full occupancy, the worst case).
+LogHistogram histogram_occupying(std::size_t occupied) {
+  LogHistogram hist;
+  const std::size_t first =
+      occupied >= hist.bucket_count() ? 0 : hist.bucket_index(1.0);
+  for (std::size_t b = first; b < first + occupied; ++b) {
+    hist.record(hist.bucket_lower(b), 1 + b % 7);
+  }
+  return hist;
+}
+
+/// One epoch's summary merge: reset the epoch histogram, then merge eight
+/// sub-batch histograms into it. Costs the occupied buckets only.
+void BM_HistogramResetMerge(benchmark::State& state) {
+  const LogHistogram sub = histogram_occupying(
+      static_cast<std::size_t>(state.range(0)));
+  LogHistogram epoch;
+  epoch.merge(sub);  // allocated, as in a serving loop's second epoch
+  for (auto _ : state) {
+    epoch.reset();
+    for (int b = 0; b < 8; ++b) epoch.merge(sub);
+    benchmark::DoNotOptimize(epoch.count());
+  }
+}
+BENCHMARK(BM_HistogramResetMerge)->ArgName("occupied")->Arg(4)->Arg(1916);
+
+/// An epoch summary's three serving percentiles.
+void BM_HistogramQuantiles(benchmark::State& state) {
+  const LogHistogram hist = histogram_occupying(
+      static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hist.quantile(0.5));
+    benchmark::DoNotOptimize(hist.quantile(0.99));
+    benchmark::DoNotOptimize(hist.quantile(0.999));
+  }
+}
+BENCHMARK(BM_HistogramQuantiles)->ArgName("occupied")->Arg(4)->Arg(1916);
+
 }  // namespace
 }  // namespace staleflow
 

@@ -142,16 +142,12 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   w.f64(h.max_value());
   w.u32(h.sub_bucket_bits());
   std::uint64_t nonzero = 0;
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-    if (h.bucket_value(b) != 0) ++nonzero;
-  }
+  h.for_each_bucket([&](std::size_t, std::uint64_t) { ++nonzero; });
   w.u64(nonzero);
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-    const std::uint64_t n = h.bucket_value(b);
-    if (n == 0) continue;
+  h.for_each_bucket([&](std::size_t b, std::uint64_t n) {
     w.u64(b);
     w.u64(n);
-  }
+  });
   if (h.empty()) {
     w.f64(0.0);
     w.f64(0.0);

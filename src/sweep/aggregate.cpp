@@ -176,11 +176,9 @@ void write_hist_csv(const std::string& path, const SweepResult& result) {
                        "replica", "workload", "shards", "tenants", "faults",
                        "bucket", "lower", "upper", "count", "cumulative"});
   for (const CellResult& cell : result.cells) {
-    if (cell.latency.empty()) continue;
     std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < cell.latency.bucket_count(); ++b) {
-      const std::uint64_t count = cell.latency.bucket_value(b);
-      if (count == 0) continue;  // occupied buckets only: CDFs, not zeros
+    // Occupied buckets only: CDFs, not zeros.
+    cell.latency.for_each_bucket([&](std::size_t b, std::uint64_t count) {
       cumulative += count;
       csv.add_row({fmt_int((long long)cell.cell.index), cell.cell.scenario,
                    cell.cell.policy, fmt_exact(cell.cell.update_period),
@@ -190,7 +188,7 @@ void write_hist_csv(const std::string& path, const SweepResult& result) {
                    fmt_int((long long)b), fmt_exact(cell.latency.bucket_lower(b)),
                    fmt_exact(cell.latency.bucket_upper(b)),
                    fmt_int((long long)count), fmt_int((long long)cumulative)});
-    }
+    });
   }
   csv.close();
 }

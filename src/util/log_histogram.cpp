@@ -86,12 +86,16 @@ void LogHistogram::record_tally(std::span<const double> values,
 
 void LogHistogram::count_value(double value, std::uint64_t count) {
   ensure_counts();
-  counts_[bucket_index(value)] += count;
+  const std::size_t bucket = bucket_index(value);
+  counts_[bucket] += count;
   if (count_ == 0) {
     min_ = max_ = value;
+    first_ = last_ = bucket;
   } else {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
+    first_ = std::min(first_, bucket);
+    last_ = std::max(last_, bucket);
   }
   count_ += count;
 }
@@ -108,22 +112,30 @@ void LogHistogram::merge(const LogHistogram& other) {
   }
   if (other.count_ == 0) return;
   ensure_counts();  // other.count_ > 0 implies other.counts_ is allocated
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
+  // Only other's occupied range holds counts (a self-merge doubles it).
+  for (std::size_t b = other.first_; b <= other.last_; ++b) {
     counts_[b] += other.counts_[b];
   }
   if (count_ == 0) {
     min_ = other.min_;
     max_ = other.max_;
+    first_ = other.first_;
+    last_ = other.last_;
   } else {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
+    first_ = std::min(first_, other.first_);
+    last_ = std::max(last_, other.last_);
   }
   count_ += other.count_;
   sum_ += other.sum_;
 }
 
 void LogHistogram::reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  if (count_ != 0) {
+    std::fill(counts_.begin() + static_cast<std::ptrdiff_t>(first_),
+              counts_.begin() + static_cast<std::ptrdiff_t>(last_ + 1), 0);
+  }
   count_ = 0;
   sum_ = 0.0;
   min_ = 0.0;
@@ -162,8 +174,8 @@ double LogHistogram::quantile(double q) const {
       1, static_cast<std::uint64_t>(std::ceil(scaled)));
 
   std::uint64_t seen = 0;
-  std::size_t bucket = counts_.size() - 1;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
+  std::size_t bucket = last_;  // rank <= count_: the scan always stops
+  for (std::size_t b = first_; b <= last_; ++b) {
     seen += counts_[b];
     if (seen >= rank) {
       bucket = b;
@@ -234,6 +246,7 @@ LogHistogram LogHistogram::from_state(
   }
   if (buckets.empty()) return hist;
   hist.ensure_counts();
+  hist.first_ = hist.bucket_count() - 1;
   for (const auto& [bucket, count] : buckets) {
     if (bucket >= hist.bucket_count()) {
       throw std::invalid_argument(
@@ -243,11 +256,25 @@ LogHistogram LogHistogram::from_state(
       throw std::invalid_argument(
           "LogHistogram::from_state: zero or repeated bucket entry");
     }
+    if (hist.count_ + count < count) {  // would wrap to a false "empty"
+      throw std::invalid_argument(
+          "LogHistogram::from_state: total count overflows");
+    }
     hist.counts_[bucket] = count;
     hist.count_ += count;
+    hist.first_ = std::min(hist.first_, static_cast<std::size_t>(bucket));
+    hist.last_ = std::max(hist.last_, static_cast<std::size_t>(bucket));
   }
   if (!(min <= max)) {
     throw std::invalid_argument("LogHistogram::from_state: min > max");
+  }
+  // The extremes bound the occupied range, as in every recorded
+  // histogram; a state that breaks this would report a quantile(0) or
+  // quantile(1) outside its own buckets.
+  if (hist.bucket_index(min) != hist.first_ ||
+      hist.bucket_index(max) != hist.last_) {
+    throw std::invalid_argument(
+        "LogHistogram::from_state: min or max outside the extreme buckets");
   }
   hist.min_ = min;
   hist.max_ = max;
@@ -262,7 +289,13 @@ bool operator==(const LogHistogram& a, const LogHistogram& b) {
   // Two empty histograms are equal whether or not their bucket arrays
   // have been (lazily) allocated yet.
   if (a.count_ == 0) return true;
-  return a.min_ == b.min_ && a.max_ == b.max_ && a.counts_ == b.counts_;
+  // Outside the occupied range every bucket is zero.
+  const auto first = static_cast<std::ptrdiff_t>(a.first_);
+  const auto end = static_cast<std::ptrdiff_t>(a.last_ + 1);
+  return a.min_ == b.min_ && a.max_ == b.max_ && a.first_ == b.first_ &&
+         a.last_ == b.last_ &&
+         std::equal(a.counts_.begin() + first, a.counts_.begin() + end,
+                    b.counts_.begin() + first);
 }
 
 }  // namespace staleflow

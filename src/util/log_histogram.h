@@ -19,6 +19,14 @@
 // recorded min/max, so quantile(0) and quantile(1) are the exact
 // extremes), hence within one bucket width of the true sorted-sample
 // quantile.
+//
+// Cost model: the default geometry has 1,916 buckets, but a histogram
+// tracks its occupied bucket range [first, last] (the buckets of its
+// min and max), so reset(), merge(), quantile() and for_each_bucket()
+// cost only the buckets between the recorded extremes — a served
+// sub-batch holds at most one value per path, however wide the
+// geometry. Only the first record/merge (the lazy allocation) and a copy
+// touch the whole array.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +71,8 @@ class LogHistogram {
   void merge(const LogHistogram& other);
 
   /// Drops every recorded value, keeping the configuration (no
-  /// reallocation — for per-epoch reuse in serving loops).
+  /// reallocation — for per-epoch reuse in serving loops). Zeroes only
+  /// the occupied range.
   void reset() noexcept;
 
   /// Total number of recorded values.
@@ -111,6 +120,16 @@ class LogHistogram {
   /// Count recorded in bucket b. Requires b < bucket_count().
   std::uint64_t bucket_value(std::size_t b) const;
 
+  /// Calls f(bucket, count) for every nonzero bucket in increasing bucket
+  /// order (the pairs from_state takes), visiting only the occupied range.
+  template <class F>
+  void for_each_bucket(F&& f) const {
+    if (count_ == 0) return;
+    for (std::size_t b = first_; b <= last_; ++b) {
+      if (counts_[b] != 0) f(b, counts_[b]);
+    }
+  }
+
   double min_value() const noexcept { return min_value_; }
   double max_value() const noexcept { return max_value_; }
   unsigned sub_bucket_bits() const noexcept { return sub_bucket_bits_; }
@@ -125,8 +144,12 @@ class LogHistogram {
   /// exactly. `min`/`max`/`sum` are checked but otherwise ignored when
   /// `buckets` is empty (an empty histogram has no extremes). Throws
   /// std::invalid_argument on a bad configuration, an out-of-range or
-  /// repeated bucket index, a zero per-bucket count, a negative or
-  /// non-finite min, max or sum, or (when nonempty) min > max.
+  /// repeated bucket index, a zero per-bucket count, a total count past
+  /// 2^64 - 1, a negative or non-finite min, max or sum, or (when
+  /// nonempty) min > max, a min outside the lowest nonzero bucket or a
+  /// max outside the highest — every recorded histogram keeps its
+  /// extremes there, and quantile(0) / quantile(1) would otherwise
+  /// contradict the buckets.
   static LogHistogram from_state(
       double min_value, double max_value, unsigned sub_bucket_bits,
       std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
@@ -150,6 +173,11 @@ class LogHistogram {
   std::uint64_t hi_raw_ = 0;  // raw bit-index of the last regular bucket
 
   std::vector<std::uint64_t> counts_;  // [underflow, regular..., overflow]
+  // The occupied range: when count_ > 0, first_ and last_ are the lowest
+  // and highest nonzero buckets (those of min_ and max_); when count_ ==
+  // 0, every bucket is zero and the range means nothing.
+  std::size_t first_ = 0;
+  std::size_t last_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

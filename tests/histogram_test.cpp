@@ -1,14 +1,20 @@
 // Property tests for LogHistogram: record/merge commutativity, quantile
 // monotonicity, bucket-boundary round-trips, agreement with exact sorted
-// quantiles within one bucket width, and the configuration contract.
+// quantiles within one bucket width, and the configuration contract; plus
+// a differential test of the occupied-range bookkeeping against a
+// reference that walks every bucket.
 // Runs under the `histogram` ctest label so the ASan+UBSan job can target
 // it directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/log_histogram.h"
@@ -342,6 +348,244 @@ TEST(LogHistogram, UnderflowAndOverflowAreClampedToObservations) {
 // Pinned here (rather than util_test) because the histogram comparison
 // tests above are what surfaced them: the histogram's exact-endpoint
 // contract only matches sorted_quantile if its own edges are exact.
+
+// ------------------------------------------- differential: range tracking
+
+/// The obvious histogram: every operation walks every bucket, as
+/// LogHistogram did before it tracked its occupied range. The geometry
+/// (bucket_index / bucket_lower / bucket_upper) is LogHistogram's own, so
+/// a mismatch can only come from the range bookkeeping.
+struct ReferenceHistogram {
+  explicit ReferenceHistogram(const LogHistogram& geometry)
+      : geometry(geometry), counts(geometry.bucket_count(), 0) {}
+
+  void count_value(double value, std::uint64_t n) {
+    counts[geometry.bucket_index(value)] += n;
+    min = count == 0 ? value : std::min(min, value);
+    max = count == 0 ? value : std::max(max, value);
+    count += n;
+  }
+  void record(double value, std::uint64_t n) {
+    if (n == 0) return;
+    count_value(value, n);
+    sum += value * static_cast<double>(n);
+  }
+  void record_tally(const std::vector<double>& values,
+                    const std::vector<std::uint64_t>& ns, double tally_sum) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (ns[i] != 0) count_value(values[i], ns[i]);
+    }
+    sum += tally_sum;
+  }
+  void merge(const ReferenceHistogram& other) {
+    if (other.count == 0) return;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      counts[b] += other.counts[b];
+    }
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    count += other.count;
+    sum += other.sum;
+  }
+  void reset() {
+    std::fill(counts.begin(), counts.end(), 0);
+    count = 0;
+    sum = min = max = 0.0;
+  }
+  double quantile(double q) const {
+    if (q == 0.0) return min;
+    if (q == 1.0) return max;
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(q * static_cast<double>(count))));
+    std::uint64_t seen = 0;
+    std::size_t bucket = counts.size() - 1;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      seen += counts[b];
+      if (seen >= rank) {
+        bucket = b;
+        break;
+      }
+    }
+    double representative;
+    if (bucket == 0) {
+      representative = min;
+    } else if (bucket + 1 == counts.size()) {
+      representative = max;
+    } else {
+      const double lo = geometry.bucket_lower(bucket);
+      const double hi = geometry.bucket_upper(bucket);
+      representative = lo + (hi - lo) / 2.0;
+    }
+    return std::clamp(representative, min, max);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> nonzero() const {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      if (counts[b] != 0) pairs.emplace_back(b, counts[b]);
+    }
+    return pairs;
+  }
+  friend bool operator==(const ReferenceHistogram& a,
+                         const ReferenceHistogram& b) {
+    if (a.count != b.count || a.sum != b.sum) return false;
+    if (a.count == 0) return true;
+    return a.min == b.min && a.max == b.max && a.counts == b.counts;
+  }
+
+  LogHistogram geometry;
+  std::vector<std::uint64_t> counts;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Every observable of `hist` equals the reference's: each bucket count
+/// (and the in-order nonzero pairs), count, extremes, sum bits and the
+/// quantiles at the edges, the serving percentiles and rank 1.
+void expect_matches(const LogHistogram& hist, const ReferenceHistogram& ref,
+                    const std::string& where) {
+  SCOPED_TRACE(where);
+  for (std::size_t b = 0; b < ref.counts.size(); ++b) {
+    ASSERT_EQ(hist.bucket_value(b), ref.counts[b]) << "bucket " << b;
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> visited;
+  hist.for_each_bucket([&](std::size_t b, std::uint64_t n) {
+    visited.emplace_back(b, n);
+  });
+  EXPECT_EQ(visited, ref.nonzero());
+  ASSERT_EQ(hist.count(), ref.count);
+  EXPECT_EQ(hist.empty(), ref.count == 0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(hist.sum()),
+            std::bit_cast<std::uint64_t>(ref.sum));
+  if (ref.count == 0) return;
+  EXPECT_EQ(hist.min(), ref.min);
+  EXPECT_EQ(hist.max(), ref.max);
+  for (const double q : {0.0, 1e-6, 0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(hist.quantile(q), ref.quantile(q)) << "q " << q;
+  }
+}
+
+/// A value for a random operation: mostly a narrow cluster (a few path
+/// latencies), sometimes the whole range, its edges, zero, -0.0 and the
+/// underflow / overflow tails.
+double draw_value(Rng& rng, double centre) {
+  switch (rng.below(8)) {
+    case 0:
+      return std::pow(10.0, rng.uniform(-12.0, 12.0));  // wide, tails too
+    case 1: {
+      const double edges[] = {0.0, -0.0, 1e-12, 1e-9, 1e9, 5e12};
+      return edges[rng.below(6)];
+    }
+    default:
+      return centre * (1.0 + 0.01 * static_cast<double>(rng.below(5)));
+  }
+}
+
+void run_differential(const LogHistogram& geometry, std::uint64_t seed) {
+  constexpr std::size_t kSlots = 4;
+  std::vector<LogHistogram> hists(kSlots, geometry);
+  std::vector<ReferenceHistogram> refs(kSlots, ReferenceHistogram(geometry));
+  Rng rng(seed);
+  for (int step = 0; step < 3000; ++step) {
+    const std::size_t s = rng.below(kSlots);
+    const double centre = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    const std::string where = "seed " + std::to_string(seed) + " step " +
+                              std::to_string(step) + " slot " +
+                              std::to_string(s);
+    switch (rng.below(6)) {
+      case 0: {
+        const double value = draw_value(rng, centre);
+        const std::uint64_t n = rng.below(4);  // 0 records nothing
+        hists[s].record(value, n);
+        refs[s].record(value, n);
+        break;
+      }
+      case 1: {
+        std::vector<double> values(1 + rng.below(6));
+        std::vector<std::uint64_t> ns(values.size());
+        double sum = 0.0;
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          values[i] = draw_value(rng, centre);
+          ns[i] = rng.below(50);
+          for (std::uint64_t k = 0; k < ns[i]; ++k) sum += values[i];
+        }
+        hists[s].record_tally(values, ns, sum);
+        refs[s].record_tally(values, ns, sum);
+        break;
+      }
+      case 2: {  // any slot, itself and empty ones included
+        const std::size_t from = rng.below(kSlots);
+        hists[s].merge(hists[from]);
+        refs[s].merge(refs[from]);
+        break;
+      }
+      case 3:
+        hists[s].reset();
+        refs[s].reset();
+        break;
+      case 4: {  // checkpoint and restore through the exported state
+        const ReferenceHistogram& ref = refs[s];
+        hists[s] = LogHistogram::from_state(
+            geometry.min_value(), geometry.max_value(),
+            geometry.sub_bucket_bits(), ref.nonzero(), ref.min, ref.max,
+            ref.sum);
+        break;
+      }
+      default: {  // a wide burst, then (next ops) narrow reuse
+        for (const double value : {1e-12, 1e-4, 1.0, 1e4, 5e12}) {
+          hists[s].record(value);
+          refs[s].record(value, 1);
+        }
+        break;
+      }
+    }
+    expect_matches(hists[s], refs[s], where);
+    if (testing::Test::HasFatalFailure()) return;
+    for (std::size_t t = 0; t < kSlots; ++t) {
+      EXPECT_EQ(hists[s] == hists[t], refs[s] == refs[t])
+          << where << " vs slot " << t;
+    }
+  }
+}
+
+TEST(LogHistogramDifferential, MatchesAnEveryBucketReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    run_differential(LogHistogram(), seed);           // 1,916 buckets
+    run_differential(LogHistogram(1e-3, 1e3, 2), seed);  // tails occupied
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(LogHistogramDifferential, ResetAfterWideOccupancyEqualsFresh) {
+  LogHistogram hist;
+  for (const double value : {0.0, 1e-12, 1e-6, 1.0, 1e6, 5e12}) {
+    hist.record(value, 3);
+  }
+  hist.reset();
+  EXPECT_TRUE(hist == LogHistogram());
+  for (std::size_t b = 0; b < hist.bucket_count(); ++b) {
+    ASSERT_EQ(hist.bucket_value(b), 0u) << "bucket " << b;
+  }
+  // Narrow reuse: only the new values' buckets are occupied, and the
+  // result equals a fresh histogram fed the same records.
+  LogHistogram fresh;
+  for (LogHistogram* h : {&hist, &fresh}) {
+    h->record(2.0, 5);
+    h->record(2.5);
+  }
+  EXPECT_TRUE(hist == fresh);
+  EXPECT_EQ(hist.quantile(0.5), fresh.quantile(0.5));
+  EXPECT_EQ(hist.bucket_index(hist.quantile(1e-6)), hist.bucket_index(2.0));
+  // And merged into a wide histogram, then reset, still equals fresh.
+  LogHistogram wide;
+  wide.record(1e-12);
+  wide.record(5e12);
+  wide.merge(hist);
+  wide.reset();
+  EXPECT_TRUE(wide == LogHistogram());
+}
 
 TEST(SortedQuantile, EmptyInputThrows) {
   EXPECT_THROW(sorted_quantile({}, 0.5), std::invalid_argument);

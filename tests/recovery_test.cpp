@@ -142,9 +142,9 @@ TEST(BinIO, ArrayCallsMatchPerElementCalls) {
 std::vector<std::pair<std::uint64_t, std::uint64_t>> nonzero_buckets(
     const LogHistogram& hist) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;
-  for (std::size_t b = 0; b < hist.bucket_count(); ++b) {
-    if (hist.bucket_value(b) != 0) buckets.emplace_back(b, hist.bucket_value(b));
-  }
+  hist.for_each_bucket([&](std::size_t b, std::uint64_t count) {
+    buckets.emplace_back(b, count);
+  });
   return buckets;
 }
 
@@ -194,18 +194,54 @@ TEST(HistogramState, RejectsBadState) {
   EXPECT_THROW(
       LogHistogram::from_state(1e-3, 1e3, 5, out_of_range, 1.0, 2.0, 3.0),
       std::invalid_argument);
+  // A total count that wraps to 0, extremes in their buckets.
+  const LogHistogram geometry(1e-3, 1e3, 5);
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  const Buckets wrapping = {{5, half}, {6, half}};
+  EXPECT_THROW(LogHistogram::from_state(1e-3, 1e3, 5, wrapping,
+                                        geometry.bucket_lower(5),
+                                        geometry.bucket_lower(6), 3.0),
+               std::invalid_argument);
   const Buckets fine = {{5, 1}};
   EXPECT_THROW(  // min > max
       LogHistogram::from_state(1e-3, 1e3, 5, fine, 2.0, 1.0, 3.0),
       std::invalid_argument);
 }
 
+TEST(HistogramState, RejectsExtremesOutsideTheirBuckets) {
+  LogHistogram hist(1e-3, 1e3, 5);
+  hist.record(0.5);
+  hist.record(4.0, 3);
+  const auto buckets = nonzero_buckets(hist);
+  ASSERT_EQ(buckets.size(), 2u);
+  const double sum = hist.sum();
+  EXPECT_NO_THROW(
+      LogHistogram::from_state(1e-3, 1e3, 5, buckets, 0.5, 4.0, sum));
+  // Still inside [bucket_lower, bucket_upper) of the extreme buckets.
+  EXPECT_NO_THROW(LogHistogram::from_state(
+      1e-3, 1e3, 5, buckets, hist.bucket_lower(buckets.front().first),
+      std::nextafter(hist.bucket_upper(buckets.back().first), 0.0), sum));
+  for (const auto& [min, max] :
+       {std::pair{0.25, 4.0},   // min below the lowest occupied bucket
+        std::pair{1.0, 4.0},    // min above it
+        std::pair{0.5, 8.0},    // max above the highest occupied bucket
+        std::pair{0.5, 2.0},    // max below it
+        std::pair{4.0, 4.0},    // min in the highest bucket
+        std::pair{0.0, 4.0}}) {  // min in the (empty) underflow bucket
+    EXPECT_THROW(
+        LogHistogram::from_state(1e-3, 1e3, 5, buckets, min, max, sum),
+        std::invalid_argument)
+        << min << " " << max;
+  }
+}
+
 TEST(HistogramState, RejectsNegativeOrNonFiniteStatistics) {
   using Buckets = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-  const Buckets fine = {{5, 2}};
+  // Two records of 1.0: min and max both fall in the one occupied bucket.
+  const Buckets fine = {{LogHistogram(1e-3, 1e3, 5).bucket_index(1.0), 2}};
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_NO_THROW(LogHistogram::from_state(1e-3, 1e3, 5, fine, 0.0, 1.0, 1.0));
+  EXPECT_NO_THROW(LogHistogram::from_state(1e-3, 1e3, 5, fine, 1.0, 1.0, 2.0));
   for (const auto& [min, max, sum] :
        {std::tuple{-1.0, 1.0, 1.0}, std::tuple{1.0, 1.0, nan},
         std::tuple{nan, 1.0, 1.0}, std::tuple{1.0, nan, 1.0},
@@ -862,6 +898,28 @@ TEST(WalDecode, NegativeMinOrNanSumStopsRecovery) {
   EXPECT_TRUE(state.truncated);
   EXPECT_EQ(state.note.rfind("corrupt WAL:", 0), 0u) << state.note;
   EXPECT_EQ(state.cuts[0].size(), 3u);
+}
+
+/// A re-checksummed cut whose route histogram reports a min or max
+/// outside its extreme buckets (valid numbers, min <= max) is forged:
+/// its quantile(0) / quantile(1) would contradict the buckets, so
+/// recovery stops at the last good epoch.
+TEST(WalDecode, ExtremeOutsideItsBucketStopsRecovery) {
+  for (const bool forge_max : {false, true}) {
+    const std::string path = wal_with_mutated_record(
+        "badextreme.wal", 7, [forge_max](const std::string& payload) {
+          // The cut ends with min, max, sum and the running digest.
+          const std::size_t at = payload.size() - (forge_max ? 24 : 32);
+          const double extreme =
+              std::bit_cast<double>(u64_at(payload, at));
+          return with_f64_at(payload, at,
+                             forge_max ? 2.0 * extreme : extreme / 2.0);
+        });
+    const recovery::RecoveredRun state = recovery::recover_wal(path);
+    EXPECT_TRUE(state.truncated) << forge_max;
+    EXPECT_EQ(state.note.rfind("corrupt WAL:", 0), 0u) << state.note;
+    EXPECT_EQ(state.cuts[0].size(), 3u);
+  }
 }
 
 // ------------------------------------- single-server == one-tenant WAL
