@@ -50,8 +50,10 @@ std::string encode_run_header(const RunManifest& manifest) {
     w.u64(o.sub_batch_queries);
     w.u8(o.sub_batch_auto ? 1 : 0);
     w.u64(o.seed);
-    w.u8(o.record_latency ? 1 : 0);
-    w.u64(o.latency_sample_every);
+    // Legacy wall-clock sampler settings (record flag, sample interval),
+    // always written as a replay-mode run wrote them.
+    w.u8(0);
+    w.u64(32);
     w.u64(tenant.weight);
   }
   return w.take();
@@ -100,8 +102,13 @@ RunManifest decode_run_header(std::string_view payload) {
     o.sub_batch_queries = r.u64();
     o.sub_batch_auto = r.u8() != 0;
     o.seed = r.u64();
-    o.record_latency = r.u8() != 0;
-    o.latency_sample_every = r.u64();
+    // The legacy sampler settings: a record flag of 1 marked a run that
+    // timed its queries. Nothing it timed is replayable state, so either
+    // value resumes the same; anything else is corrupt.
+    if (r.u8() > 1) {
+      throw std::runtime_error("WAL header: bad latency-record flag");
+    }
+    r.u64();  // the sample interval
     tenant.weight = r.u64();
     manifest.tenants.push_back(std::move(tenant));
   }
@@ -127,10 +134,9 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   w.f64(s.route_p50);
   w.f64(s.route_p99);
   w.f64(s.route_p999);
-  w.f64(s.p50_us);
-  w.f64(s.p99_us);
-  w.f64(s.p999_us);
-  w.f64(s.queries_per_second);
+  // Legacy wall-clock fields (p50/p99/p999 service time, epoch qps),
+  // always written as a replay-mode run wrote them.
+  for (int i = 0; i < 4; ++i) w.f64(0.0);
   for (const std::uint64_t word : cut.rng_state) w.u64(word);
   w.u64(cut.flow.size());
   w.f64s(cut.flow);
@@ -177,10 +183,7 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   s.route_p50 = r.f64();
   s.route_p99 = r.f64();
   s.route_p999 = r.f64();
-  s.p50_us = r.f64();
-  s.p99_us = r.f64();
-  s.p999_us = r.f64();
-  s.queries_per_second = r.f64();
+  for (int i = 0; i < 4; ++i) r.f64();  // the legacy wall-clock fields
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
   record.cut.flow.resize(checked_count(r, r.u64(), 8, "WAL cut: flow"));
   r.f64s(record.cut.flow);

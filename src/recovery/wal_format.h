@@ -47,6 +47,11 @@ inline constexpr char kWalMagic[8] = {'S', 'F', 'W', 'A', 'L', '1', '\n', 0};
 ///     served with cross-epoch pipelining, since removed; writers emit 0
 ///     and readers accept 0 or 1 and ignore it (cut bytes never depended
 ///     on the schedule, so every v3 WAL resumes on the one schedule).
+/// The per-query wall-clock sampler is gone too, but its fields keep
+/// their places: each tenant's record flag and sample interval in the
+/// header, four timing doubles in each cut. Writers emit 0, 32 and zeros
+/// (what a replay-mode run wrote); readers accept a flag of 0 or 1 and
+/// ignore all of them.
 inline constexpr std::uint32_t kWalVersion = 3;
 
 /// Corruption guard: a structurally valid record never exceeds this

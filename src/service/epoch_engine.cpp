@@ -14,7 +14,6 @@
 #include "service/workload.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
-#include "util/stopwatch.h"
 
 namespace staleflow {
 namespace {
@@ -74,10 +73,6 @@ void EpochEngine::begin(const FlowVector& initial,
   }
   if (!is_feasible(*instance_, initial.values(), 1e-7)) {
     throw std::invalid_argument("RouteServer::run: infeasible start");
-  }
-  if (options.record_latency && options.latency_sample_every == 0) {
-    throw std::invalid_argument(
-        "RouteServer::run: latency_sample_every must be >= 1");
   }
 
   InitialAssignment start =
@@ -173,17 +168,7 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
   std::fill(sub.path_served.begin(), sub.path_served.end(), 0);
   std::uint64_t* const served = sub.path_served.data();
   double route_sum = 0.0;
-  // The wall sampler times queries 0, k, 2k, ... (k =
-  // latency_sample_every), counting down so no query pays a modulo.
-  std::size_t until_timed =
-      options_.record_latency ? 0 : std::numeric_limits<std::size_t>::max();
   for (std::size_t q = 0; q < sub.arrivals; ++q) {
-    const bool timed = until_timed == 0;
-    if (timed) until_timed = options_.latency_sample_every;
-    --until_timed;
-    const WallClock::time_point begin =
-        timed ? WallClock::now() : WallClock::time_point{};
-
     detail::ClientEntry& client = clients[pick_client(rng)];
     const CommodityId c{static_cast<std::size_t>(client.commodity)};
     const Commodity& commodity = instance_->commodity(c);
@@ -213,10 +198,6 @@ void EpochEngine::serve_sub_batch(std::size_t b) {
     // routed against — a deterministic board value, not wall clock.
     ++served[served_path];
     route_sum += latency[served_path];
-
-    if (timed) {
-      sub.wall_hist.record(1e6 * seconds_between(begin, WallClock::now()));
-    }
   }
   sub.rng = rng;
   sub.route_hist.record_tally(latency, sub.path_served, route_sum);
@@ -326,7 +307,6 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
       sub.rng = epoch_rng.split();
       sub.path_served.resize(instance_->path_count());
       sub.route_hist.reset();
-      sub.wall_hist.reset();
     }
     planned += pieces;
     shard_begin += shard_clients_[s];
@@ -405,20 +385,9 @@ void EpochEngine::summarize() {
     stage.summary.route_p99 = stage.epoch_route.quantile(0.99);
     stage.summary.route_p999 = stage.epoch_route.quantile(0.999);
   }
-  if (options_.record_latency) {
-    stage.epoch_wall.reset();
-    for (std::size_t b = 0; b < stage.batches; ++b) {
-      stage.epoch_wall.merge(stage.ctx[b].wall_hist);
-    }
-    if (!stage.epoch_wall.empty()) {
-      stage.summary.p50_us = stage.epoch_wall.quantile(0.5);
-      stage.summary.p99_us = stage.epoch_wall.quantile(0.99);
-      stage.summary.p999_us = stage.epoch_wall.quantile(0.999);
-    }
-  }
 }
 
-void EpochEngine::finish_epoch(double epoch_seconds,
+void EpochEngine::finish_epoch(double /*epoch_seconds*/,
                                const EpochObserver& observer) {
   if (!epoch_in_flight_) {
     throw std::logic_error("EpochEngine::finish_epoch: no epoch in flight");
@@ -429,13 +398,6 @@ void EpochEngine::finish_epoch(double epoch_seconds,
   // Phase boundary: the fold tail (summary) and the snapshot build
   // already ran inside the graph; publish the folded flow's board.
   run_route_.merge(stage.epoch_route);
-  if (options_.record_latency) {
-    run_wall_us_.merge(stage.epoch_wall);
-    stage.summary.queries_per_second =
-        epoch_seconds > 0.0
-            ? static_cast<double>(stage.totals.queries) / epoch_seconds
-            : 0.0;
-  }
 
   total_queries_ += stage.totals.queries;
   total_migrations_ += stage.totals.migrations;
@@ -559,34 +521,19 @@ RouteServerResult EpochEngine::finish(double wall_seconds) {
         "EpochEngine::finish: run at least one epoch to completion first");
   }
   const double final_gap = epochs_.back().wardrop_gap;
-  RouteServerResult result{
+  return RouteServerResult{
       .final_flow = FlowVector(*instance_, std::move(flow_)),
       .epochs = std::move(epochs_),
       .total_queries = total_queries_,
       .total_migrations = total_migrations_,
       .final_gap = final_gap,
       .route_latency = run_route_,
-      .wall_latency_us = LogHistogram(),
-      .wall_seconds = 0.0,
-      .queries_per_second = 0.0,
-      .p50_us = 0.0,
-      .p99_us = 0.0,
-      .p999_us = 0.0,
+      .wall_seconds = wall_seconds,
+      .queries_per_second =
+          wall_seconds > 0.0
+              ? static_cast<double>(total_queries_) / wall_seconds
+              : 0.0,
   };
-  if (options_.record_latency) {
-    result.wall_latency_us = run_wall_us_;
-    result.wall_seconds = wall_seconds;
-    result.queries_per_second =
-        result.wall_seconds > 0.0
-            ? static_cast<double>(result.total_queries) / result.wall_seconds
-            : 0.0;
-    if (!result.wall_latency_us.empty()) {
-      result.p50_us = result.wall_latency_us.quantile(0.5);
-      result.p99_us = result.wall_latency_us.quantile(0.99);
-      result.p999_us = result.wall_latency_us.quantile(0.999);
-    }
-  }
-  return result;
 }
 
 }  // namespace staleflow

@@ -58,7 +58,7 @@ struct ClientEntry {
 
 /// Everything one serving task needs for an epoch: which shard it belongs
 /// to, its contiguous slice of the client table, its arrival quota, its
-/// own Rng stream, its per-path tally and its latency histograms.
+/// own Rng stream, its per-path tally and its route-latency histogram.
 /// Sub-batches never touch each other's context; the alignment keeps
 /// neighbouring contexts off the same cache line.
 struct alignas(64) SubBatchContext {
@@ -69,7 +69,6 @@ struct alignas(64) SubBatchContext {
   Rng rng{0};
   std::vector<std::uint64_t> path_served;  // served queries, by path
   LogHistogram route_hist;  // board latency of the served path (exact)
-  LogHistogram wall_hist;   // per-query service time in us (wall clock)
 };
 }  // namespace detail
 
@@ -102,16 +101,16 @@ class EpochEngine {
   void add_epoch(TaskGraph& graph);
 
   /// Completes the epoch the last add_epoch planned (its graph must have
-  /// run): merges the epoch's histograms into the run result, records the
-  /// summary (calling `observer` if set) and publishes the next snapshot
-  /// — the phase boundary. `epoch_seconds` is the wall-clock the host
-  /// measured for the graph (used for queries_per_second when latency
-  /// recording is on; a multi-tenant host passes the whole round's wall
-  /// time, so per-epoch qps then reads "queries per round-second").
+  /// run): merges the epoch's route histogram into the run result, records
+  /// the summary (calling `observer` if set) and publishes the next
+  /// snapshot — the phase boundary. `epoch_seconds` is unused: the engine
+  /// records no per-epoch wall clock (time epochs with perfbench or a
+  /// trace). It stays until the benchmark's callers drop it.
   void finish_epoch(double epoch_seconds, const EpochObserver& observer);
 
-  /// Finalizes and returns the run result (final flow and gap, wall-clock
-  /// aggregates from `wall_seconds`). The engine is spent afterwards.
+  /// Finalizes and returns the run result (final flow and gap; the run's
+  /// throughput from the host-measured `wall_seconds`). The engine is
+  /// spent afterwards.
   RouteServerResult finish(double wall_seconds);
 
   /// Snapshot of the dynamics state at the last finished epoch's boundary
@@ -134,17 +133,16 @@ class EpochEngine {
   /// Throws std::invalid_argument on non-contiguous cuts, more cuts than
   /// the epoch budget, or state that does not fit this configuration
   /// (wrong path count, client count, or an out-of-range client path).
-  /// Wall-clock telemetry is not restored — it is not replayable state —
-  /// so resumed runs report wall figures for the new process only.
+  /// The run's wall_seconds covers the new process only.
   void restore(std::span<const EngineCheckpoint> cuts);
 
  private:
   /// Everything the in-flight epoch stages: its sub-batch contexts, the
   /// snapshot it served against, the fold totals, the board it builds and
-  /// its telemetry accumulators. The trace fields are wall-clock
-  /// labelling only — trace_drop is true while a drop-telemetry fault
-  /// window covers the epoch (the engine then emits no spans; the
-  /// kFaultSpan marker itself still fires).
+  /// its summary. The trace fields are wall-clock labelling only —
+  /// trace_drop is true while a drop-telemetry fault window covers the
+  /// epoch (the engine then emits no spans; the kFaultSpan marker itself
+  /// still fires).
   struct EpochStage {
     std::vector<detail::SubBatchContext> ctx;  // high-water pool
     std::size_t batches = 0;  // sub-batches planned for this epoch
@@ -153,7 +151,6 @@ class EpochEngine {
     std::shared_ptr<BoardSnapshot> next;
     EpochSummary summary;
     LogHistogram epoch_route;  // this epoch's merged route latencies
-    LogHistogram epoch_wall;   // this epoch's merged service times (us)
     std::uint64_t trace_epoch = 0;
     std::uint64_t trace_begin_ns = 0;
     bool trace_drop = false;
@@ -190,7 +187,6 @@ class EpochEngine {
   std::size_t total_queries_ = 0;
   std::size_t total_migrations_ = 0;
   LogHistogram run_route_;
-  LogHistogram run_wall_us_;
 };
 
 }  // namespace staleflow

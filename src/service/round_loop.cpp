@@ -7,7 +7,6 @@
 #include "service/epoch_engine.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
-#include "util/stopwatch.h"
 
 namespace staleflow {
 
@@ -51,9 +50,7 @@ RoundState run_rounds(std::span<const RoundTenant> tenants,
       for (const std::size_t i : scheduled) {
         tenants[i].engine->add_epoch(graph);
       }
-      const Stopwatch round_watch;
       executor.run(graph);
-      const double round_seconds = round_watch.seconds();
       for (const std::size_t i : scheduled) {
         EpochObserver epoch_observer;
         if (observer) {
@@ -61,7 +58,7 @@ RoundState run_rounds(std::span<const RoundTenant> tenants,
             observer(i, summary);
           };
         }
-        tenants[i].engine->finish_epoch(round_seconds, epoch_observer);
+        tenants[i].engine->finish_epoch(0.0, epoch_observer);
       }
     }
     if (rounds) {

@@ -22,9 +22,9 @@
 // count or scheduling; sub-batches share no mutable state (per-sub-batch
 // ledger slots, disjoint client slices); folding and histogram merging
 // walk the canonical plan order. Every dynamics outcome is therefore
-// bit-identical for any worker-thread count — only the wall-clock
-// telemetry differs. With the default sub_batch_queries, batches below
-// the split threshold reproduce the PR-2/PR-3 per-shard dynamics exactly.
+// bit-identical for any worker-thread count — only the run's wall clock
+// differs. With the default sub_batch_queries, batches below the split
+// threshold reproduce the PR-2/PR-3 per-shard dynamics exactly.
 //
 // Each epoch runs as a task graph (src/exec/): serve nodes feed a
 // fold node, which feeds BOTH the next snapshot's build (board post, then
@@ -120,14 +120,6 @@ struct RouteServerOptions {
   /// digest-neutral; a crash clause _Exit(137)s the process right after
   /// the matching commit point. Must outlive run().
   const faults::FaultSchedule* faults = nullptr;
-
-  /// Record wall-clock per-query service time into per-shard
-  /// LogHistograms. Off = deterministic replay mode: all telemetry fields
-  /// are reproducible bit-for-bit.
-  bool record_latency = true;
-  /// Time every k-th query of a shard (the clock reads are the cost; the
-  /// histogram itself stores nothing per sample).
-  std::size_t latency_sample_every = 32;
 };
 
 struct RouteServerResult {
@@ -144,13 +136,11 @@ struct RouteServerResult {
   /// histogram configuration.
   LogHistogram route_latency;
 
-  // Wall-clock (non-deterministic; zero / empty in replay mode).
-  LogHistogram wall_latency_us;  // per-query service time, merged over run
+  // The run's wall clock, as the host measured it: the only
+  // non-deterministic fields. Per-query and per-epoch timings come from a
+  // trace (src/trace/) or the benchmark (perfbench/).
   double wall_seconds = 0.0;
   double queries_per_second = 0.0;
-  double p50_us = 0.0;  // quantiles of wall_latency_us
-  double p99_us = 0.0;
-  double p999_us = 0.0;
 };
 
 /// Called at every phase boundary with the finished epoch's summary.

@@ -19,33 +19,16 @@ std::string fmt(double value) {
 }  // namespace
 
 void write_epoch_csv(const std::string& path,
-                     std::span<const EpochSummary> epochs,
-                     bool include_timing) {
-  std::vector<std::string> header = {"epoch",      "start",
-                                     "end",        "queries",
-                                     "migrations", "migration_rate",
-                                     "wardrop_gap", "board_latency",
-                                     "route_p50",  "route_p99",
-                                     "route_p999"};
-  if (include_timing) {
-    header.insert(header.end(), {"p50_us", "p99_us", "p999_us", "qps"});
-  }
-  CsvWriter csv(path, header);
+                     std::span<const EpochSummary> epochs) {
+  CsvWriter csv(path, {"epoch", "start", "end", "queries", "migrations",
+                       "migration_rate", "wardrop_gap", "board_latency",
+                       "route_p50", "route_p99", "route_p999"});
   for (const EpochSummary& e : epochs) {
-    std::vector<std::string> row = {
-        std::to_string(e.epoch),      fmt(e.start_time),
-        fmt(e.end_time),              std::to_string(e.queries),
-        std::to_string(e.migrations), fmt(e.migration_rate),
-        fmt(e.wardrop_gap),           fmt(e.board_latency),
-        fmt(e.route_p50),             fmt(e.route_p99),
-        fmt(e.route_p999)};
-    if (include_timing) {
-      row.push_back(fmt(e.p50_us));
-      row.push_back(fmt(e.p99_us));
-      row.push_back(fmt(e.p999_us));
-      row.push_back(fmt(e.queries_per_second));
-    }
-    csv.add_row(row);
+    csv.add_row({std::to_string(e.epoch), fmt(e.start_time),
+                 fmt(e.end_time), std::to_string(e.queries),
+                 std::to_string(e.migrations), fmt(e.migration_rate),
+                 fmt(e.wardrop_gap), fmt(e.board_latency),
+                 fmt(e.route_p50), fmt(e.route_p99), fmt(e.route_p999)});
   }
 }
 

@@ -1,14 +1,12 @@
 // Per-epoch live telemetry of the route service.
 //
-// Every epoch produces one EpochSummary. The fields split into two
-// classes: *deterministic* outcomes of the dynamics (queries, migrations,
-// Wardrop gap, board latency, and the route-latency quantiles extracted
-// from the epoch's merged LogHistogram — functions of seed and
-// configuration only) and *wall-clock* figures (query service-time
-// quantiles, throughput) that vary run to run. The CSV writer can
-// restrict itself to the deterministic columns so replay runs diff
-// byte-for-byte regardless of worker-thread count, and the digest pins
-// those columns for golden tests.
+// Every epoch produces one EpochSummary. Every field is a deterministic
+// outcome of the dynamics (queries, migrations, Wardrop gap, board
+// latency, and the route-latency quantiles extracted from the epoch's
+// merged LogHistogram — functions of seed and configuration only), so
+// the CSV diffs byte-for-byte regardless of worker-thread count, and the
+// digest pins those fields for golden tests. Wall-clock timings live in
+// the trace (src/trace/) and the benchmark (perfbench/), not here.
 //
 // Latency distributions are log-bucket histograms (util/log_histogram.h),
 // not sampled vectors: per-shard recordings merge exactly into per-epoch
@@ -43,19 +41,12 @@ struct EpochSummary {
   double route_p99 = 0.0;
   double route_p999 = 0.0;
 
-  // Wall-clock figures; zeroed when latency recording is off. Quantiles
-  // come from the epoch's merged service-time histogram.
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  double queries_per_second = 0.0;
+  friend bool operator==(const EpochSummary&, const EpochSummary&) = default;
 };
 
-/// Writes one row per epoch. With include_timing == false only the
-/// deterministic columns are emitted — the replay-diff format.
+/// Writes one row per epoch.
 void write_epoch_csv(const std::string& path,
-                     std::span<const EpochSummary> epochs,
-                     bool include_timing);
+                     std::span<const EpochSummary> epochs);
 
 /// FNV-1a digest over the deterministic fields of every epoch (bit
 /// patterns of the doubles, not their decimal rendering), including the

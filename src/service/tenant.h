@@ -41,9 +41,8 @@ class Executor;
 
 struct TenantOptions {
   /// The tenant's serving configuration (epochs, clients, shards, seed,
-  /// sub-batch, latency recording, ...). `threads` and `executor` are
-  /// ignored: the registry serves every tenant on the executor handed to
-  /// run().
+  /// sub-batch, faults, ...). `threads` and `executor` are ignored: the
+  /// registry serves every tenant on the executor handed to run().
   RouteServerOptions server;
 
   /// Relative epoch rate: the tenant serves `weight` epochs for every

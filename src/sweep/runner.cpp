@@ -153,7 +153,6 @@ void run_service(const Instance& instance, const Policy& policy,
   options.executor = &executor;
   options.sub_batch_queries = spec.sub_batch_queries;
   options.sub_batch_auto = spec.sub_batch_auto;
-  options.record_latency = false;  // replay mode: fully deterministic
 
   // Seeds first, THEN the fault schedule: the schedule is derived from
   // the first tenant's seed, and drawing all seeds up front keeps the

@@ -294,7 +294,6 @@ TEST(ExecDeterminism, RouteServerByteIdenticalUnderForcedSplits) {
   options.shards = 4;
   options.sub_batch_queries = 128;  // force many sub-batches per shard
   options.seed = 23;
-  options.record_latency = false;
 
   // Reference: single-threaded, no knobs.
   RouteServer reference_server(instance, policy, *workload);
@@ -365,7 +364,6 @@ TEST(ExecDeterminism, AutoSubBatchByteIdenticalAcrossOneAndEightThreads) {
   options.sub_batch_auto = true;
   options.sub_batch_queries = 0;  // must be ignored in auto mode
   options.seed = 29;
-  options.record_latency = false;
 
   std::vector<EpochSummary> reference;
   std::vector<double> reference_flow;

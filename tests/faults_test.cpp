@@ -223,7 +223,6 @@ struct FaultedRun {
     options.shards = 4;
     options.threads = 1;
     options.seed = 5;
-    options.record_latency = false;
   }
 
   RouteServerResult run(const FaultSchedule* schedule,
@@ -345,7 +344,6 @@ std::map<std::string, std::uint64_t> run_pair(const FaultSchedule* schedule,
   base.server.epochs = 10;
   base.server.num_clients = 600;
   base.server.shards = 4;
-  base.server.record_latency = false;
   base.server.faults = schedule;
 
   TenantOptions victim = base;

@@ -199,7 +199,6 @@ const RealFiles& real_files() {
     options.shards = 2;
     options.threads = 1;
     options.seed = 3;
-    options.record_latency = false;
 
     recovery::RunManifest manifest;
     recovery::TenantManifest self;

@@ -373,7 +373,6 @@ struct SingleRun {
     options.shards = 2;
     options.threads = 1;
     options.seed = 5;
-    options.record_latency = false;
   }
 
   RouteServerResult run(const RoundCutObserver& rounds = nullptr,
@@ -488,7 +487,6 @@ TEST(WalLog, CleanRunRoundTripsThroughRecoverWal) {
   EXPECT_EQ(manifest.options.epochs, fixture.options.epochs);
   EXPECT_EQ(manifest.options.seed, fixture.options.seed);
   EXPECT_EQ(manifest.options.num_clients, fixture.options.num_clients);
-  EXPECT_FALSE(manifest.options.record_latency);
 
   // Restored cuts are bit-identical to freshly captured ones: replaying
   // the recovered state must land on the same digest.
@@ -767,10 +765,6 @@ EngineCheckpoint synthetic_cut(std::size_t clients, std::size_t paths) {
   s.route_p50 = 1.0;
   s.route_p99 = 2.0;
   s.route_p999 = 3.0;
-  s.p50_us = 0.25;
-  s.p99_us = 0.5;
-  s.p999_us = 0.75;
-  s.queries_per_second = 1e7;
   cut.rng_state = {0x0123456789ABCDEFULL, 2, 3, ~std::uint64_t{0}};
   Rng rng(clients * 31 + paths);
   for (std::size_t p = 0; p < paths; ++p) {
@@ -800,10 +794,10 @@ std::string per_field_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   w.u64(s.migrations);
   for (const double field :
        {s.migration_rate, s.wardrop_gap, s.board_latency, s.route_p50,
-        s.route_p99, s.route_p999, s.p50_us, s.p99_us, s.p999_us,
-        s.queries_per_second}) {
+        s.route_p99, s.route_p999}) {
     w.f64(field);
   }
+  for (int i = 0; i < 4; ++i) w.f64(0.0);  // the legacy wall-clock fields
   for (const std::uint64_t word : cut.rng_state) w.u64(word);
   w.u64(cut.flow.size());
   for (const double f : cut.flow) w.f64(f);
@@ -983,7 +977,6 @@ struct MultiRun {
     options_a.server.num_clients = 400;
     options_a.server.shards = 2;
     options_a.server.seed = 5;
-    options_a.server.record_latency = false;
     options_a.weight = 2;
 
     options_b.server = options_a.server;
@@ -1151,6 +1144,54 @@ TEST(WalHeader, V3WritesLegacyFlagZeroAndReadsOldHeaders) {
   EXPECT_THROW(recovery::decode_run_header(v4), std::runtime_error);
 }
 
+/// Offset of a tenant's legacy latency-record flag in a single-tenant
+/// header payload: the flag, the u64 sample interval and the u64 weight
+/// close the payload.
+std::size_t record_flag_offset(const std::string& header) {
+  return header.size() - 1 - 8 - 8;
+}
+
+TEST(WalHeader, LegacySamplerFieldsAreWrittenAsReplayModeAndIgnored) {
+  SingleRun fixture;
+  const std::string v3 = recovery::encode_run_header(fixture.manifest());
+  const std::size_t flag_at = record_flag_offset(v3);
+  EXPECT_EQ(v3[flag_at], 0);                 // record flag
+  EXPECT_EQ(u64_at(v3, flag_at + 1), 32u);   // sample interval
+  EXPECT_EQ(u64_at(v3, flag_at + 9), 1u);    // weight
+
+  // A run that timed its queries wrote flag 1: it decodes to the same
+  // manifest, whatever its interval said.
+  std::string timed = v3;
+  timed[flag_at] = 1;
+  timed = with_u64_at(timed, flag_at + 1, 8);
+  const recovery::RunManifest decoded = recovery::decode_run_header(timed);
+  ASSERT_EQ(decoded.tenants.size(), 1u);
+  EXPECT_EQ(recovery::encode_run_header(decoded), v3);
+
+  // No build ever wrote another value: fail closed.
+  std::string bad = v3;
+  bad[flag_at] = 2;
+  EXPECT_THROW(recovery::decode_run_header(bad), std::runtime_error);
+
+  // Every cut writes its four legacy wall-clock doubles as zeros.
+  std::vector<EngineCheckpoint> cuts;
+  fixture.run(collect_cuts(cuts));
+  const std::string cut = recovery::encode_epoch_cut(0, cuts[2], 7);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(u64_at(cut, kCutFlowCountOffset - 4 * 8 - (4 - i) * 8), 0u);
+  }
+}
+
+TEST(WalHeader, RechecksummedBadRecordFlagStopsRecovery) {
+  const std::string path = wal_with_mutated_record(
+      "badrecordflag.wal", 0, [](const std::string& payload) {
+        std::string forged = payload;
+        forged[record_flag_offset(forged)] = 2;
+        return forged;
+      });
+  EXPECT_THROW(recovery::recover_wal(path), std::runtime_error);
+}
+
 // ------------------------------- WALs written by pipelined runs
 
 // Crash images checked in under tests/data/, written by an earlier build
@@ -1264,11 +1305,52 @@ TEST(LegacyWal, PipelinedTwoTenantCrashImageResumesToItsDigests) {
   EXPECT_EQ(healed.digests, golden);
 }
 
+// A crash image of a run that timed its queries: the first 4000 bytes of
+// an earlier build's `route_server_cli run --scenario braess --policy
+// replicator --period 0.1 --epochs 12 --clients 100 --workload
+// closed-loop:300 --shards 4 --seed 3 --wal` log, written without
+// --deterministic — header record flag 1, wall-clock figures in every
+// cut. It configures the run pipelined_solo.wal does, so it resumes to
+// the same digest.
+TEST(LegacyWal, TimedSoloCrashImageResumesToItsDigest) {
+  const std::string path = temp_path("legacy_timed.wal");
+  write_file(path, read_file(test_data("timed_solo.wal")));
+  const recovery::WalScan scan = recovery::scan_wal(path);
+  ASSERT_GE(scan.records.size(), 2u);
+  const std::string header(scan.records[0].payload);
+  EXPECT_EQ(header[record_flag_offset(header)], 1);
+  const std::string first_cut(scan.records[1].payload);
+  EXPECT_NE(u64_at(first_cut, kCutFlowCountOffset - 4 * 8 - 8), 0u)
+      << "the epoch-0 cut should carry its qps";
+
+  const recovery::RecoveredRun state = recovery::recover_wal(path);
+  EXPECT_TRUE(state.truncated);
+  ASSERT_EQ(state.cuts.size(), 1u);
+  EXPECT_EQ(state.cuts[0].size(), 5u);
+
+  const recovery::TenantManifest& tenant = state.manifest.tenants[0];
+  const LoggedHost host(tenant);
+  constexpr std::uint64_t kGolden = 0x648bc7397d7ca65dULL;
+  {
+    recovery::WalLog log(path, state);
+    RouteServer server(host.instance, host.policy, *host.workload);
+    const RouteServerResult result =
+        server.run(FlowVector::uniform(host.instance), tenant.options,
+                   nullptr, log.round_observer(), state.cuts[0]);
+    log.finish();
+    EXPECT_EQ(telemetry_digest(result.epochs), kGolden);
+    EXPECT_EQ(result.epochs.size(), 12u);
+  }
+  const recovery::RecoveredRun healed = recovery::recover_wal(path);
+  EXPECT_TRUE(healed.clean_shutdown);
+  EXPECT_EQ(healed.digests[0], kGolden);
+}
+
 // ------------------------------------------------- CLI recovery flags
 
 const std::set<std::string> kConfigKeys = {
     "scenario", "policy", "workload", "tenants",   "period",       "epochs",
-    "clients",  "shards", "seed",     "sub-batch", "deterministic"};
+    "clients",  "shards", "seed",     "sub-batch"};
 
 TEST(RecoveryFlags, WalAndResumeAreMutuallyExclusive) {
   cli::RecoveryFlags flags;

@@ -56,7 +56,6 @@ TenantFixture make_tenant(const std::string& name,
   tenant.options.server.shards = shards;
   tenant.options.server.seed = seed;
   tenant.options.server.sub_batch_queries = sub_batch;
-  tenant.options.server.record_latency = false;  // replay mode
   tenant.options.weight = weight;
   return tenant;
 }

@@ -30,6 +30,7 @@
 #include "service/service.h"
 #include "sweep/spec.h"
 #include "trace/trace.h"
+#include "trace_summary.h"
 #include "util/binio.h"
 
 namespace staleflow {
@@ -419,6 +420,52 @@ TEST(DigestNeutrality, SingleServerTracedEqualsUntraced) {
   EXPECT_EQ(epoch_spans, options.epochs);
   EXPECT_EQ(publishes, options.epochs);
   EXPECT_GT(sub_batches, 0u);
+}
+
+TEST(TraceSummary, SubBatchRowsGivePerQueryServiceTime) {
+  // The engine keeps no wall clock; `trace_dump_cli summary` reads the
+  // per-query service time off a trace instead: sub_batch span time ÷
+  // the arrivals those spans carry.
+  const Instance instance = braess(true);
+  const Policy policy = named_policy("replicator").make(instance, 0.1);
+  const WorkloadPtr workload = make_workload("closed-loop:3000");
+  const RouteServerOptions options = serving_options(6, 23);
+
+  const std::string path = temp_path("summary");
+  trace::start(path, "trace_test summary");
+  RouteServer server(instance, policy, *workload);
+  const RouteServerResult result =
+      server.run(FlowVector::uniform(instance), options);
+  trace::stop();
+
+  const trace::LoadedTrace loaded = trace::load_trace(path);
+  const std::map<std::string, cli::SpanGroup> groups =
+      cli::summarize_spans(loaded, "kind");
+  ASSERT_TRUE(groups.contains("sub_batch"));
+  const cli::SpanGroup& serve = groups.at("sub_batch");
+  EXPECT_EQ(serve.value_total, result.total_queries);
+  std::uint64_t serve_ns = 0;
+  for (const trace::LoadedEvent& event : loaded.events) {
+    if (event.event.kind == trace::EventKind::kSubBatchSpan) {
+      serve_ns += event.event.end_ns - event.event.begin_ns;
+    }
+  }
+  EXPECT_EQ(serve.total_ns, serve_ns);
+  EXPECT_GT(serve.ns_per_unit(), 0.0);
+  EXPECT_DOUBLE_EQ(serve.ns_per_unit(),
+                   static_cast<double>(serve_ns) /
+                       static_cast<double>(result.total_queries));
+
+  // Epoch spans carry the epoch's queries too; instants carry no value.
+  EXPECT_EQ(groups.at("epoch").value_total, result.total_queries);
+  EXPECT_EQ(groups.at("snapshot_publish").ns_per_unit(), 0.0);
+
+  // --by splits a kind into groups whose values add up to the kind's.
+  std::uint64_t by_shard = 0;
+  for (const auto& [key, group] : cli::summarize_spans(loaded, "shard")) {
+    if (key.rfind("sub_batch/shard=", 0) == 0) by_shard += group.value_total;
+  }
+  EXPECT_EQ(by_shard, result.total_queries);
 }
 
 TEST(DigestNeutrality, MultiTenantTracedEqualsUntraced) {

@@ -17,8 +17,9 @@
 // tenant grammars. `run` serves the workload for the configured number
 // of epochs, printing per-epoch telemetry and a final summary including
 // a digest of the deterministic telemetry (used by the CI golden test).
-// With --deterministic, wall-clock latency recording is off and the CSV
-// holds only deterministic columns — byte-identical for any --threads.
+// The CSV holds only deterministic columns — byte-identical for any
+// --threads. --deterministic is accepted and ignored: every run is a
+// replay-mode run (time one with --trace).
 //
 // --pin is a runtime performance knob, digest-neutral like --threads:
 // it pins worker lane i to CPU core i (silently a no-op where
@@ -110,9 +111,8 @@ constexpr const char* kFaultGrammar =
 /// The flags that ARE the run's dynamics configuration — all of them
 /// recorded in the WAL header, hence all of them conflicts with --resume.
 const std::set<std::string> kConfigFlags = {
-    "scenario", "policy",    "workload", "tenants", "period",
-    "epochs",   "clients",   "shards",   "sub-batch",
-    "seed",     "deterministic", "faults"};
+    "scenario", "policy", "workload",  "tenants", "period", "epochs",
+    "clients",  "shards", "sub-batch", "seed",    "faults"};
 
 [[noreturn]] void usage(const std::string& error = "") {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
@@ -264,19 +264,16 @@ void print_resume_banner(const recovery::RecoveredRun& state, bool quiet) {
 /// `digest=` and the CSV path as given for a plain run, `digest[name]=`
 /// and out.<name>.csv per tenant of a --tenants run, then the aggregate.
 void print_result(const MultiTenantResult& result, bool multi_tenant,
-                  bool record_latency, const std::string& csv_path,
-                  bool quiet) {
+                  const std::string& csv_path, bool quiet) {
   for (const TenantResult& tenant : result.tenants) {
     const RouteServerResult& run = tenant.server;
     if (multi_tenant) std::cout << "tenant " << tenant.name << ": ";
     std::cout << run.total_queries << " queries, " << run.total_migrations
               << " migrations over " << run.epochs.size()
               << " epochs; final gap " << fmt(run.final_gap, 6) << "\n";
-    if (record_latency && !multi_tenant) {
+    if (!multi_tenant) {
       std::cout << "throughput " << fmt(run.queries_per_second / 1e6, 3)
-                << " Mq/s (" << fmt(run.wall_seconds, 2) << " s wall), p50 "
-                << fmt(run.p50_us, 1) << " us, p99 " << fmt(run.p99_us, 1)
-                << " us\n";
+                << " Mq/s (" << fmt(run.wall_seconds, 2) << " s wall)\n";
     }
     std::cout << (multi_tenant ? "digest[" + tenant.name + "]=" : "digest=")
               << std::hex << telemetry_digest(run.epochs) << std::dec
@@ -284,7 +281,7 @@ void print_result(const MultiTenantResult& result, bool multi_tenant,
     if (!csv_path.empty()) {
       const std::string path =
           multi_tenant ? tenant_csv_path(csv_path, tenant.name) : csv_path;
-      write_epoch_csv(path, run.epochs, record_latency);
+      write_epoch_csv(path, run.epochs);
       if (!quiet) std::cout << "wrote " << path << "\n";
     }
   }
@@ -292,7 +289,7 @@ void print_result(const MultiTenantResult& result, bool multi_tenant,
   std::cout << result.total_queries() << " queries over "
             << result.total_epochs() << " epochs in " << result.rounds
             << " rounds";
-  if (record_latency && result.wall_seconds > 0.0) {
+  if (result.wall_seconds > 0.0) {
     std::cout << "; " << fmt(result.wall_seconds, 2) << " s wall, "
               << fmt(static_cast<double>(result.total_epochs()) /
                          result.wall_seconds,
@@ -317,12 +314,10 @@ int run_manifest(const std::string& wal_path,
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   const faults::FaultSchedule fault_schedule =
       make_fault_schedule(manifest, quiet);
-  const bool record_latency = manifest.tenants.front().options.record_latency;
   if (!quiet) {
     std::cout << "route_server: " << manifest.tenants.size()
               << (manifest.tenants.size() == 1 ? " tenant" : " tenants")
-              << " on one executor (threads=" << threads
-              << (record_latency ? "" : ", deterministic") << ")\n";
+              << " on one executor (threads=" << threads << ")\n";
   }
   std::deque<Host> hosts;
   TenantRegistry tenants;
@@ -367,12 +362,7 @@ int run_manifest(const std::string& wal_path,
       std::cout << "epoch " << e.epoch << ": " << e.queries
                 << " queries, migration rate " << fmt(e.migration_rate, 4)
                 << ", gap " << fmt(e.wardrop_gap, 6) << ", board latency "
-                << fmt(e.board_latency, 4);
-      if (e.queries_per_second > 0.0) {
-        std::cout << ", " << fmt(e.queries_per_second / 1e6, 2)
-                  << " Mq/s, p99 " << fmt(e.p99_us, 1) << " us";
-      }
-      std::cout << "\n";
+                << fmt(e.board_latency, 4) << "\n";
     };
   }
   if (progress_every > 0) {
@@ -405,8 +395,7 @@ int run_manifest(const std::string& wal_path,
                   log ? log->round_observer() : RoundCutObserver{},
                   resume_state);
   if (log) log->finish();
-  print_result(result, manifest.multi_tenant, record_latency, csv_path,
-               quiet);
+  print_result(result, manifest.multi_tenant, csv_path, quiet);
   return 0;
 }
 
@@ -553,7 +542,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
     } else if (key == "seed") {
       options.seed = cli::parse_count(value, "--seed");
     } else if (key == "deterministic") {
-      options.record_latency = false;
+      // Accepted and ignored: every run is a replay-mode run.
     } else if (key == "csv") {
       csv_path = value;
     } else if (key == "wal") {

@@ -17,8 +17,13 @@
 // `summary` aggregates wall-clock span durations into exact
 // util/log_histogram quantiles (p50/p99/p999 µs) per event type, or per
 // event type crossed with tenant, shard, worker, or execution lane
-// (--by). `--by lane` splits sub-batch spans by the pool lane that ran
-// them ("main" is the caller helping while it waits); together with the
+// (--by), with each group's total time and value sum. Its ns_per_unit
+// column is total time ÷ value sum: on sub_batch rows the value is the
+// batch's arrivals, so it reads the per-query service time in ns — the
+// serving engine records no wall clock of its own, and this is how any
+// trace answers "how long does a query take" (trace_summary.h).
+// `--by lane` splits sub-batch spans by the pool lane that ran them
+// ("main" is the caller helping while it waits); together with the
 // pool.local_hits / pool.steals locality line this is the offline answer
 // to "did placement stick" that the always-on recording makes available
 // for every run.
@@ -37,6 +42,7 @@
 
 #include "cli_common.h"
 #include "staleflow/staleflow.h"
+#include "trace_summary.h"
 
 namespace staleflow {
 namespace {
@@ -52,7 +58,8 @@ namespace {
       "info prints header + greppable event/counter totals; csv dumps\n"
       "one row per recorded span; summary reports exact p50/p99/p999\n"
       "span-duration quantiles (us) per event type (or crossed with\n"
-      "tenant/shard/worker/lane via --by) plus the pool locality ratio.\n";
+      "tenant/shard/worker/lane via --by), span time per unit of value\n"
+      "(ns per query on sub_batch rows) and the pool locality ratio.\n";
   std::exit(2);
 }
 
@@ -70,26 +77,6 @@ void print_truncation(const trace::LoadedTrace& loaded) {
     std::cout << "note: trace truncated at byte " << loaded.valid_bytes
               << " (" << loaded.note << ")\n";
   }
-}
-
-/// The shard a sub-batch span ran against (packed into arg bits 32..47);
-/// 0 for every other kind.
-std::uint64_t event_shard(const trace::TraceEvent& event) {
-  return event.kind == trace::EventKind::kSubBatchSpan
-             ? (event.arg >> 32) & 0xFFFF
-             : 0;
-}
-
-/// The execution lane a sub-batch span ran on (arg bits 48..63), as a
-/// label: "?" for pre-lane traces (code 0), "main" for a non-pool thread
-/// helping (code 1), the worker lane number otherwise (code k+2); "-" for
-/// every other event kind.
-std::string event_lane(const trace::TraceEvent& event) {
-  if (event.kind != trace::EventKind::kSubBatchSpan) return "-";
-  const std::uint64_t code = event.arg >> 48;
-  if (code == 0) return "?";
-  if (code == 1) return "main";
-  return std::to_string(code - 2);
 }
 
 /// Greppable placement-locality line from the final counter sample: how
@@ -180,9 +167,9 @@ int do_csv(const std::string& path,
   for (const trace::LoadedEvent& loaded_event : loaded.events) {
     const trace::TraceEvent& e = loaded_event.event;
     out << trace::event_kind_name(e.kind) << ',' << e.tenant << ','
-        << e.epoch << ',' << loaded_event.worker << ',' << event_shard(e)
-        << ',' << event_lane(e) << ',' << e.arg << ',' << e.value << ','
-        << e.begin_ns << ',' << e.end_ns << ','
+        << e.epoch << ',' << loaded_event.worker << ','
+        << cli::event_shard(e) << ',' << cli::event_lane(e) << ',' << e.arg
+        << ',' << e.value << ',' << e.begin_ns << ',' << e.end_ns << ','
         << fmt(static_cast<double>(e.end_ns - e.begin_ns) / 1e3, 3) << "\n";
   }
   if (!out_path.empty()) {
@@ -209,43 +196,17 @@ int do_summary(const std::string& path,
   }
   const trace::LoadedTrace loaded = load_or_usage(path);
 
-  // Exact log-bucket quantiles per group — the same histogram type the
-  // digest contract uses for route latency, here over span durations.
-  struct Group {
-    LogHistogram hist{1e-3, 1e9};  // microseconds: 1 ns .. ~17 min
-    std::uint64_t value_total = 0;
-  };
-  std::map<std::string, Group> groups;
-  for (const trace::LoadedEvent& loaded_event : loaded.events) {
-    const trace::TraceEvent& e = loaded_event.event;
-    std::string key(trace::event_kind_name(e.kind));
-    if (by == "tenant") {
-      key += "/tenant=" + std::to_string(e.tenant);
-    } else if (by == "shard") {
-      key += "/shard=" + std::to_string(event_shard(e));
-    } else if (by == "worker") {
-      key += "/worker=" + std::to_string(loaded_event.worker);
-    } else if (by == "lane") {
-      key += "/lane=" + event_lane(e);
-    }
-    Group& group = groups[key];
-    const double duration_us =
-        static_cast<double>(e.end_ns - e.begin_ns) / 1e3;
-    // Instants (publish events) record as zero-length spans; clamp into
-    // the histogram's range so they count without skewing quantiles up.
-    group.hist.record(std::max(duration_us, 1e-3));
-    group.value_total += e.value;
-  }
-
   Table table({"span", "count", "p50_us", "p99_us", "p999_us", "total_ms",
-               "value_sum"});
-  for (const auto& [key, group] : groups) {
+               "value_sum", "ns_per_unit"});
+  for (const auto& [key, group] : cli::summarize_spans(loaded, by)) {
     table.add_row({key, fmt_int(static_cast<long long>(group.hist.count())),
                    fmt(group.hist.quantile(0.5), 2),
                    fmt(group.hist.quantile(0.99), 2),
                    fmt(group.hist.quantile(0.999), 2),
                    fmt(group.hist.sum() / 1e3, 2),
-                   fmt_int(static_cast<long long>(group.value_total))});
+                   fmt_int(static_cast<long long>(group.value_total)),
+                   group.value_total == 0 ? "-"
+                                          : fmt(group.ns_per_unit(), 1)});
   }
   table.print(std::cout);
   print_locality(loaded);

@@ -22,9 +22,7 @@
 // bit-for-bit or the WAL does not describe this build's dynamics.
 // Exit 0 = all replayed epochs match, 1 = a mismatch, 2 = usage error
 // (missing/corrupt-beyond-recovery WAL, unknown tenant, out-of-range
-// epoch window). Replay forces deterministic mode (no wall-clock
-// recording): wall-clock fields are not replayable state and do not
-// enter the digests.
+// epoch window).
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -188,7 +186,6 @@ int do_replay(const std::string& path,
   RouteServerOptions options = manifest.options;
   options.threads = threads;
   options.executor = nullptr;
-  options.record_latency = false;  // replay is deterministic by definition
 
   SnapshotStore store;
   EpochEngine engine(instance, policy, *workload, store);
