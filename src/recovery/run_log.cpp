@@ -1,5 +1,6 @@
 #include "recovery/run_log.h"
 
+#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -167,7 +168,11 @@ std::string encode_epoch_cut(std::uint32_t tenant, const EngineCheckpoint& cut,
   return w.take();
 }
 
-CutRecord decode_epoch_cut(std::string_view payload) {
+namespace {
+
+/// decode_epoch_cut, optionally stepping over the client paths (their
+/// count is still checked against the payload) and leaving them empty.
+CutRecord decode_cut(std::string_view payload, bool with_paths) {
   binio::Reader r(payload);
   CutRecord record;
   record.tenant = r.u32();
@@ -187,9 +192,14 @@ CutRecord decode_epoch_cut(std::string_view payload) {
   for (std::uint64_t& word : record.cut.rng_state) word = r.u64();
   record.cut.flow.resize(checked_count(r, r.u64(), 8, "WAL cut: flow"));
   r.f64s(record.cut.flow);
-  record.cut.client_paths.resize(
-      checked_count(r, r.u64(), 4, "WAL cut: client path"));
-  r.u32s(record.cut.client_paths);
+  const std::size_t clients =
+      checked_count(r, r.u64(), 4, "WAL cut: client path");
+  if (with_paths) {
+    record.cut.client_paths.resize(clients);
+    r.u32s(record.cut.client_paths);
+  } else {
+    r.skip(4 * clients);
+  }
 
   const double hist_min_value = r.f64();
   const double hist_max_value = r.f64();
@@ -219,6 +229,12 @@ CutRecord decode_epoch_cut(std::string_view payload) {
     throw std::runtime_error("WAL cut: trailing bytes in payload");
   }
   return record;
+}
+
+}  // namespace
+
+CutRecord decode_epoch_cut(std::string_view payload) {
+  return decode_cut(payload, true);
 }
 
 std::string encode_round_mark(const RoundMark& mark) {
@@ -291,11 +307,17 @@ RecoveredRun recover_wal(const std::string& path) {
   // semantically impossible (bad tenant index, epoch gap, digest
   // mismatch, records after the trailer): like a checksum failure,
   // nothing after it can be trusted.
+  // Cuts decode without their client paths: resume restores paths from
+  // each tenant's last committed cut only, so only that cut's paths are
+  // decoded, from the payload kept in `last_cut`, once the scan is done.
+  // Holding every cut's paths would cost memory the size of the WAL.
   struct StagedCut {
     CutRecord record;
     std::uint64_t offset = 0;  // where the cut's frame starts in the file
+    std::string_view payload;
   };
   std::vector<StagedCut> staged;
+  std::vector<std::string_view> last_cut(tenants);
   const auto stop = [&run, &staged](const std::string& why) {
     run.truncated = true;
     run.note = why;
@@ -314,7 +336,7 @@ RecoveredRun recover_wal(const std::string& path) {
           stop("corrupt WAL: duplicate run header");
           break;
         case RecordType::kEpochCut: {
-          CutRecord cut = decode_epoch_cut(record.payload);
+          CutRecord cut = decode_cut(record.payload, /*with_paths=*/false);
           if (cut.tenant >= tenants) {
             stop("corrupt WAL: cut for unknown tenant");
             break;
@@ -340,7 +362,8 @@ RecoveredRun recover_wal(const std::string& path) {
           // the payload itself).
           const std::uint64_t frame_start =
               record.end_offset - (4 + 4 + 8) - record.payload.size();
-          staged.push_back(StagedCut{std::move(cut), frame_start});
+          staged.push_back(
+              StagedCut{std::move(cut), frame_start, record.payload});
           break;
         }
         case RecordType::kRoundMark: {
@@ -358,6 +381,7 @@ RecoveredRun recover_wal(const std::string& path) {
             run.cuts[pending.record.tenant].push_back(
                 std::move(pending.record.cut));
             run.cut_offsets[pending.record.tenant].push_back(pending.offset);
+            last_cut[pending.record.tenant] = pending.payload;
           }
           staged.clear();
           run.rounds = mark.rounds;
@@ -396,7 +420,45 @@ RecoveredRun recover_wal(const std::string& path) {
     run.truncated = true;
     if (run.note.empty()) run.note = "uncommitted cuts without a round mark";
   }
+  for (std::size_t i = 0; i < tenants; ++i) {
+    if (!run.cuts[i].empty()) {
+      run.cuts[i].back().client_paths =
+          decode_epoch_cut(last_cut[i]).cut.client_paths;
+    }
+  }
   return run;
+}
+
+CutRecord read_epoch_cut(const std::string& path, std::uint64_t offset) {
+  const auto fail = [&](const char* what) {
+    return std::runtime_error("read_epoch_cut: " + std::string(what) +
+                              " at offset " + std::to_string(offset) +
+                              " of '" + path + "'");
+  };
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw fail("cannot open the WAL");
+  in.seekg(static_cast<std::streamoff>(offset));
+  char head[8];
+  if (!in.read(head, sizeof(head))) throw fail("no record frame");
+  binio::Reader frame(std::string_view(head, sizeof(head)));
+  const std::uint32_t length = frame.u32();
+  const std::uint32_t type = frame.u32();
+  if (type != static_cast<std::uint32_t>(RecordType::kEpochCut)) {
+    throw fail("no cut record");
+  }
+  if (length > kMaxRecordPayload) throw fail("impossible payload length");
+  std::string body(std::size_t{length} + 8, '\0');
+  if (!in.read(body.data(), static_cast<std::streamsize>(body.size()))) {
+    throw fail("short record");
+  }
+  // The checksum covers the type word and the payload.
+  std::uint64_t sum = fnv::kOffsetBasis;
+  fnv::hash_bytes(sum, head + 4, 4);
+  fnv::hash_bytes(sum, body.data(), length);
+  if (binio::Reader(std::string_view(body).substr(length)).u64() != sum) {
+    throw fail("checksum mismatch");
+  }
+  return decode_epoch_cut(std::string_view(body).substr(0, length));
 }
 
 RegistryResume registry_resume(const RecoveredRun& run) {

@@ -98,7 +98,10 @@ struct RecoveredRun {
   RunManifest manifest;
 
   /// Per tenant (manifest order): the committed cut prefix, epochs 0..e
-  /// in order. Empty = that tenant had not finished an epoch yet.
+  /// in order. Empty = that tenant had not finished an epoch yet. Only
+  /// each tenant's last cut carries its client paths (all that resume
+  /// restores from); every other cut's `client_paths` is empty, and
+  /// read_epoch_cut() decodes it whole from its `cut_offsets` entry.
   std::vector<std::vector<EngineCheckpoint>> cuts;
 
   /// Parallel to `cuts`: the byte offset in the WAL file where each cut
@@ -138,6 +141,12 @@ struct RecoveredRun {
 /// as opposed to a torn tail, which is recovered from silently (see
 /// RecoveredRun::truncated / note).
 RecoveredRun recover_wal(const std::string& path);
+
+/// Reads and decodes the cut record whose frame starts at `offset` of the
+/// WAL at `path` (an entry of RecoveredRun::cut_offsets), client paths
+/// included. Throws std::runtime_error when no cut record with a matching
+/// checksum starts there.
+CutRecord read_epoch_cut(const std::string& path, std::uint64_t offset);
 
 /// View of a RecoveredRun in the shape TenantRegistry::run consumes. The
 /// spans alias `run.cuts`; `run` must outlive the returned value's use.

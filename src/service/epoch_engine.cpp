@@ -319,9 +319,7 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
   // overlap the summary tail; everything after fold reads the folded
   // flow, nothing writes shared state concurrently — and nothing outside
   // this engine at all, so epochs of distinct engines coexist in one
-  // graph. Serve nodes carry their shard id as the affinity key: every
-  // sub-batch of one shard runs on the same worker lane (cache locality),
-  // which never changes what it computes.
+  // graph.
   stage.served = store_->acquire();
   stage.totals = FlowLedger::Totals{};
   stage.next.reset();
@@ -330,8 +328,7 @@ void EpochEngine::add_epoch(TaskGraph& graph) {
   std::vector<TaskGraph::NodeId> serve_nodes;
   serve_nodes.reserve(stage.batches);
   for (std::size_t b = 0; b < stage.batches; ++b) {
-    serve_nodes.push_back(graph.add([this, b] { serve_sub_batch(b); }, {},
-                                    /*affinity=*/stage.ctx[b].shard));
+    serve_nodes.push_back(graph.add([this, b] { serve_sub_batch(b); }));
   }
   const TaskGraph::NodeId fold = graph.add(
       [this] { stage_.totals = ledger_->fold_into(flow_, stage_.batches); },

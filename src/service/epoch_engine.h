@@ -92,12 +92,9 @@ class EpochEngine {
   /// Plans the next epoch (workload arrivals, the deterministic sub-batch
   /// plan, one Rng stream per sub-batch in canonical order) and appends
   /// its serve -> fold -> {board post + per-commodity CDF nodes, summary}
-  /// pipeline to `graph`. Serve nodes carry their shard id as the graph
-  /// affinity key, so same-shard sub-batches land on the same worker lane
-  /// (locality placement — wall clock only, never values). The appended
-  /// nodes touch only this engine, so several engines may append to the
-  /// same graph. Exactly one graph may be in flight per engine:
-  /// add_epoch / run / finish_epoch, in order.
+  /// pipeline to `graph`. The appended nodes touch only this engine, so
+  /// several engines may append to the same graph. Exactly one graph may
+  /// be in flight per engine: add_epoch / run / finish_epoch, in order.
   void add_epoch(TaskGraph& graph);
 
   /// Completes the epoch the last add_epoch planned (its graph must have

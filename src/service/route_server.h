@@ -103,12 +103,6 @@ struct RouteServerOptions {
   /// fixed sub_batch_queries, with its own digest.
   bool sub_batch_auto = false;
 
-  /// Pin worker lane i to CPU core i where available (silently a no-op
-  /// otherwise). Runtime-only wall-clock placement, never semantics;
-  /// ignored when `executor` is set (the borrowed executor's owner
-  /// decides).
-  bool pin = false;
-
   std::uint64_t seed = 1;
 
   /// Materialized fault schedule (src/faults/), nullptr = healthy world.

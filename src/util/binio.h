@@ -135,6 +135,9 @@ class Reader {
   /// Fills `out` with the next out.size() f64 values, as u32s() does.
   void f64s(std::span<double> out) { read_block(out); }
 
+  /// Steps over the next `size` bytes without reading them.
+  void skip(std::size_t size) { need(size); }
+
   std::size_t remaining() const noexcept { return data_.size() - offset_; }
   bool done() const noexcept { return remaining() == 0; }
 

@@ -1,9 +1,11 @@
 // Negative-path tests for the shared CLI flag-parsing helpers
 // (tools/cli_common.h): the numeric edge cases a quoting accident or a
 // stray shell expansion can produce — inf/nan spellings, out-of-range
-// literals, embedded whitespace, partial parses — must all be usage
-// errors (exit 2 with the grammar in hand), never silently-accepted
-// values. Companion to the fault-plane hardening sweep.
+// literals, embedded whitespace, partial parses — and the flag-level
+// slips of a valued flag missing its value or a flag given twice must
+// all be usage errors (exit 2 with the grammar in hand), never
+// silently-accepted values. Companion to the fault-plane hardening
+// sweep.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +15,33 @@
 
 namespace staleflow {
 namespace {
+
+TEST(ParseFlags, ValuedFlagFollowedByAFlagHasNoValue) {
+  // "--csv --quiet" must not write the CSV to a file named --quiet.
+  try {
+    cli::parse_flags({"run", "--csv", "--quiet"}, 1, {"quiet"});
+    FAIL() << "expected cli::UsageError";
+  } catch (const cli::UsageError& e) {
+    EXPECT_STREQ(e.what(), "--csv needs a value");
+  }
+  EXPECT_THROW(cli::parse_flags({"--seed", "--epochs", "3"}, 0, {}),
+               cli::UsageError);
+  // A trailing valued flag has no value either.
+  EXPECT_THROW(cli::parse_flags({"--quiet", "--csv"}, 0, {"quiet"}),
+               cli::UsageError);
+  // Values that merely start with one dash are still values.
+  const auto flags = cli::parse_flags({"--offset", "-3"}, 0, {});
+  EXPECT_EQ(flags.at("offset"), "-3");
+}
+
+TEST(ParseFlags, RepeatedFlagIsAnError) {
+  EXPECT_THROW(cli::parse_flags({"--seed", "1", "--seed", "2"}, 0, {}),
+               cli::UsageError);
+  EXPECT_THROW(cli::parse_flags({"--quiet", "--quiet"}, 0, {"quiet"}),
+               cli::UsageError);
+  EXPECT_THROW(cli::parse_flags({"--seed", "1", "--seed", "1"}, 0, {}),
+               cli::UsageError);
+}
 
 TEST(ParseNumber, AcceptsOrdinaryFiniteValues) {
   EXPECT_DOUBLE_EQ(cli::parse_number("0.25", "--t"), 0.25);

@@ -495,6 +495,77 @@ TEST(WalLog, CleanRunRoundTripsThroughRecoverWal) {
   EXPECT_EQ(telemetry_digest(resumed.epochs), golden);
 }
 
+TEST(WalLog, RecoveredClientPathsLiveOnTheLastCutAndOnDisk) {
+  SingleRun fixture;
+  const std::string path = temp_path("lazypaths.wal");
+  std::vector<EngineCheckpoint> captured;
+  std::uint64_t golden = 0;
+  {
+    recovery::WalLog log(path, fixture.manifest());
+    const RoundCutObserver collect = collect_cuts(captured);
+    const RoundCutObserver observe = [&](const RoundCheckpoint& round) {
+      collect(round);
+      log.log_round(round);
+    };
+    golden = telemetry_digest(fixture.run(observe).epochs);
+    log.finish();
+  }
+
+  recovery::RecoveredRun state = recovery::recover_wal(path);
+  ASSERT_EQ(state.cuts[0].size(), captured.size());
+  for (std::size_t c = 0; c + 1 < captured.size(); ++c) {
+    EXPECT_TRUE(state.cuts[0][c].client_paths.empty()) << "cut " << c;
+  }
+  EXPECT_EQ(state.cuts[0].back().client_paths, captured.back().client_paths);
+
+  // Every cut's paths read back from its offset, bit for bit.
+  for (std::size_t c = 0; c < captured.size(); ++c) {
+    const recovery::CutRecord record =
+        recovery::read_epoch_cut(path, state.cut_offsets[0][c]);
+    EXPECT_EQ(record.tenant, 0u);
+    EXPECT_EQ(record.cut.summary.epoch, c);
+    EXPECT_EQ(record.cut.client_paths, captured[c].client_paths)
+        << "cut " << c;
+  }
+
+  // A prefix whose last cut's paths are read back resumes to the golden
+  // digest, as the whole recovered prefix does.
+  const std::size_t k = 3;
+  state.cuts[0][k - 1].client_paths =
+      recovery::read_epoch_cut(path, state.cut_offsets[0][k - 1])
+          .cut.client_paths;
+  EXPECT_EQ(telemetry_digest(
+                fixture.run(nullptr, std::span(state.cuts[0]).subspan(0, k))
+                    .epochs),
+            golden);
+}
+
+TEST(WalLog, ReadEpochCutRejectsOffsetsWithoutAVerifiedCut) {
+  SingleRun fixture;
+  const std::string path = temp_path("readcut.wal");
+  {
+    recovery::WalLog log(path, fixture.manifest());
+    fixture.run(log.round_observer());
+    log.finish();
+  }
+  const recovery::WalScan scan = recovery::scan_wal(path);
+  // Records: header, then (cut, mark) pairs; records[2] is a round mark.
+  const std::uint64_t cut_at = scan.records[0].end_offset;
+  const std::uint64_t mark_at = scan.records[1].end_offset;
+  EXPECT_NO_THROW(recovery::read_epoch_cut(path, cut_at));
+  EXPECT_THROW(recovery::read_epoch_cut(path, 0), std::runtime_error);
+  EXPECT_THROW(recovery::read_epoch_cut(path, mark_at), std::runtime_error);
+  EXPECT_THROW(recovery::read_epoch_cut(path, scan.valid_bytes),
+               std::runtime_error);
+  EXPECT_THROW(recovery::read_epoch_cut(temp_path("missing.wal"), cut_at),
+               std::runtime_error);
+
+  std::string bytes = read_file(path);
+  bytes[cut_at + 8 + 11] = static_cast<char>(bytes[cut_at + 8 + 11] ^ 0x01);
+  write_file(path, bytes);
+  EXPECT_THROW(recovery::read_epoch_cut(path, cut_at), std::runtime_error);
+}
+
 TEST(WalLog, KilledAtAnyByteResumesToTheSameDigest) {
   SingleRun fixture;
   const std::string clean_path = temp_path("killbytes.wal");

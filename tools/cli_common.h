@@ -24,21 +24,28 @@ struct UsageError : std::runtime_error {
 };
 
 /// Parses "--key value" pairs from args[from..]; flags listed in
-/// `booleans` take no value and map to "1".
+/// `booleans` take no value and map to "1". Fails closed: a valued flag
+/// followed by another flag ("--csv --quiet") has no value, and a flag
+/// given twice is an error rather than a silent last-one-wins.
 inline std::map<std::string, std::string> parse_flags(
     const std::vector<std::string>& args, std::size_t from,
     const std::set<std::string>& booleans) {
+  const auto is_flag = [](const std::string& arg) {
+    return arg.rfind("--", 0) == 0;
+  };
   std::map<std::string, std::string> flags;
   for (std::size_t i = from; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) != 0) {
-      throw UsageError("unexpected argument " + args[i]);
-    }
+    if (!is_flag(args[i])) throw UsageError("unexpected argument " + args[i]);
     const std::string key = args[i].substr(2);
-    if (booleans.contains(key)) {
-      flags[key] = "1";
-    } else {
-      if (i + 1 >= args.size()) throw UsageError("--" + key + " needs a value");
-      flags[key] = args[++i];
+    std::string value = "1";
+    if (!booleans.contains(key)) {
+      if (i + 1 >= args.size() || is_flag(args[i + 1])) {
+        throw UsageError("--" + key + " needs a value");
+      }
+      value = args[++i];
+    }
+    if (!flags.emplace(key, std::move(value)).second) {
+      throw UsageError("--" + key + " given more than once");
     }
   }
   return flags;

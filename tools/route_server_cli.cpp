@@ -5,7 +5,6 @@
 //                        [--period <T>] [--epochs <n>] [--clients <n>]
 //                        [--workload <spec>] [--shards <k>]
 //                        [--sub-batch <q>|auto] [--threads <k>]
-//                        [--pin]
 //                        [--seed <s>] [--deterministic] [--csv <path>]
 //                        [--tenants <spec>[;<spec>...]]
 //                        [--wal <path> | --resume <path>]
@@ -20,10 +19,6 @@
 // The CSV holds only deterministic columns — byte-identical for any
 // --threads. --deterministic is accepted and ignored: every run is a
 // replay-mode run (time one with --trace).
-//
-// --pin is a runtime performance knob, digest-neutral like --threads:
-// it pins worker lane i to CPU core i (silently a no-op where
-// unavailable).
 //
 // --tenants switches to multi-tenant mode: each ;-separated spec
 // (<name>[:key=value,...], keys scenario/policy/workload/clients/shards/
@@ -122,7 +117,6 @@ const std::set<std::string> kConfigFlags = {
       "                       [--period <T>] [--epochs <n>] [--clients <n>]\n"
       "                       [--workload <spec>] [--shards <k>]\n"
       "                       [--sub-batch <q>|auto] [--threads <k>]\n"
-      "                       [--pin]\n"
       "                       [--seed <s>] [--deterministic] [--csv <path>]\n"
       "                       [--tenants <spec>[;<spec>...]]\n"
       "                       [--wal <path> | --resume <path>]\n"
@@ -308,7 +302,7 @@ void print_result(const MultiTenantResult& result, bool multi_tenant,
 int run_manifest(const std::string& wal_path,
                  const recovery::RunManifest& manifest,
                  const recovery::RecoveredRun* resume, std::size_t threads,
-                 bool pin, const std::string& csv_path,
+                 const std::string& csv_path,
                  std::size_t report_every, std::size_t progress_every,
                  bool quiet) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
@@ -388,7 +382,7 @@ int run_manifest(const std::string& wal_path,
     log.emplace(wal_path, manifest);
   }
 
-  Executor executor(threads, pin);
+  Executor executor(threads);
   if (!fault_schedule.empty()) executor.set_fault_schedule(&fault_schedule);
   const MultiTenantResult result =
       tenants.run(executor, observer,
@@ -444,8 +438,7 @@ recovery::RunManifest resolve_tenant_manifest(
 }
 
 /// --resume: the WAL header is the configuration; serve what remains.
-/// --pin passes through (a runtime knob like --threads).
-int do_resume(const std::string& path, std::size_t threads, bool pin,
+int do_resume(const std::string& path, std::size_t threads,
               const std::string& csv_path, std::size_t report_every,
               std::size_t progress_every, bool quiet) {
   recovery::RecoveredRun state;
@@ -471,7 +464,7 @@ int do_resume(const std::string& path, std::size_t threads, bool pin,
     return 0;
   }
 
-  return run_manifest(path, state.manifest, &state, threads, pin, csv_path,
+  return run_manifest(path, state.manifest, &state, threads, csv_path,
                       report_every, progress_every, quiet);
 }
 
@@ -537,8 +530,6 @@ int do_run(const std::map<std::string, std::string>& flags) {
       }
     } else if (key == "threads") {
       options.threads = cli::parse_count(value, "--threads");
-    } else if (key == "pin") {
-      options.pin = true;
     } else if (key == "seed") {
       options.seed = cli::parse_count(value, "--seed");
     } else if (key == "deterministic") {
@@ -574,8 +565,8 @@ int do_run(const std::map<std::string, std::string>& flags) {
   const TraceScope trace_scope(trace_path);
 
   if (recovery_flags.resuming()) {
-    return do_resume(recovery_flags.resume, options.threads, options.pin,
-                     csv_path, report_every, progress_every, quiet);
+    return do_resume(recovery_flags.resume, options.threads, csv_path,
+                     report_every, progress_every, quiet);
   }
 
   recovery::RunManifest manifest;
@@ -599,8 +590,7 @@ int do_run(const std::map<std::string, std::string>& flags) {
   }
   manifest.faults = faults_spec;
   return run_manifest(recovery_flags.wal, manifest, nullptr, options.threads,
-                      options.pin, csv_path, report_every, progress_every,
-                      quiet);
+                      csv_path, report_every, progress_every, quiet);
 }
 
 int run_main(int argc, char** argv) {
@@ -610,8 +600,7 @@ int run_main(int argc, char** argv) {
   try {
     if (command == "list") return do_list();
     if (command == "run") {
-      return do_run(cli::parse_flags(
-          args, 1, {"quiet", "deterministic", "pin"}));
+      return do_run(cli::parse_flags(args, 1, {"quiet", "deterministic"}));
     }
   } catch (const cli::UsageError& e) {
     usage(e.what());

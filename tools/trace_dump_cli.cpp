@@ -8,7 +8,7 @@
 // `info` prints the trace's header, shutdown state and greppable
 // event/counter totals (`events[<kind>]=<n>`, `counter[<name>]=<v>`) —
 // the CI traced-run smoke greps these to assert recording invariants
-// (epochs recorded == epochs served, local lane hits beating steals).
+// (epochs recorded == epochs served).
 //
 // `csv` writes one row per event: kind, tenant, epoch, worker, shard,
 // lane, sub-batch index, begin/end timestamps and the span duration in
@@ -22,11 +22,9 @@
 // batch's arrivals, so it reads the per-query service time in ns — the
 // serving engine records no wall clock of its own, and this is how any
 // trace answers "how long does a query take" (trace_summary.h).
-// `--by lane` splits sub-batch spans by the pool lane that ran them
-// ("main" is the caller helping while it waits); together with the
-// pool.local_hits / pool.steals locality line this is the offline answer
-// to "did placement stick" that the always-on recording makes available
-// for every run.
+// `--by lane` splits sub-batch spans by the thread that ran them ("main"
+// is the caller helping while it waits, k is pool worker k), so any
+// trace shows how the serving work spread over the executor's threads.
 //
 // All modes read the trusted prefix of a torn trace (same recovery
 // posture as the WAL scanner) and report the truncation; exit 0 even for
@@ -59,7 +57,7 @@ namespace {
       "one row per recorded span; summary reports exact p50/p99/p999\n"
       "span-duration quantiles (us) per event type (or crossed with\n"
       "tenant/shard/worker/lane via --by), span time per unit of value\n"
-      "(ns per query on sub_batch rows) and the pool locality ratio.\n";
+      "(ns per query on sub_batch rows).\n";
   std::exit(2);
 }
 
@@ -77,33 +75,6 @@ void print_truncation(const trace::LoadedTrace& loaded) {
     std::cout << "note: trace truncated at byte " << loaded.valid_bytes
               << " (" << loaded.note << ")\n";
   }
-}
-
-/// Greppable placement-locality line from the final counter sample: how
-/// many pool tasks ran on their submitted lane vs were stolen across.
-void print_locality(const trace::LoadedTrace& loaded) {
-  if (loaded.counter_batches.empty()) return;
-  std::uint64_t local_hits = 0;
-  std::uint64_t steals = 0;
-  bool seen = false;
-  for (const auto& [id, value] : loaded.counter_batches.back().values) {
-    if (loaded.counter_names[id] == "pool.local_hits") {
-      local_hits = value;
-      seen = true;
-    } else if (loaded.counter_names[id] == "pool.steals") {
-      steals = value;
-      seen = true;
-    }
-  }
-  if (!seen) return;
-  const std::uint64_t total = local_hits + steals;
-  std::cout << "locality: pool.local_hits=" << local_hits
-            << " pool.steals=" << steals << " local_ratio="
-            << fmt(total == 0 ? 0.0
-                              : static_cast<double>(local_hits) /
-                                    static_cast<double>(total),
-                   3)
-            << "\n";
 }
 
 int do_info(const std::string& path) {
@@ -209,7 +180,6 @@ int do_summary(const std::string& path,
                                           : fmt(group.ns_per_unit(), 1)});
   }
   table.print(std::cout);
-  print_locality(loaded);
   print_truncation(loaded);
   return 0;
 }

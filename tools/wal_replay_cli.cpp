@@ -135,7 +135,7 @@ int do_replay(const std::string& path,
     }
   }
 
-  const recovery::RecoveredRun state = recover_or_usage(path);
+  recovery::RecoveredRun state = recover_or_usage(path);
   std::size_t tenant = 0;
   if (!tenant_name.empty()) {
     bool found = false;
@@ -151,7 +151,7 @@ int do_replay(const std::string& path,
     }
   }
   const recovery::TenantManifest& manifest = state.manifest.tenants[tenant];
-  const std::vector<EngineCheckpoint>& cuts = state.cuts[tenant];
+  std::vector<EngineCheckpoint>& cuts = state.cuts[tenant];
 
   if (from_epoch > cuts.size()) {
     throw cli::UsageError(
@@ -190,6 +190,14 @@ int do_replay(const std::string& path,
   SnapshotStore store;
   EpochEngine engine(instance, policy, *workload, store);
   engine.begin(FlowVector::uniform(instance), options);
+  // recover_wal decodes client paths for the last cut only; the cut this
+  // replay restores from is read back whole from the file.
+  if (from_epoch > 0 && from_epoch < cuts.size()) {
+    cuts[from_epoch - 1].client_paths =
+        recovery::read_epoch_cut(path,
+                                 state.cut_offsets[tenant][from_epoch - 1])
+            .cut.client_paths;
+  }
   engine.restore(std::span(cuts).subspan(0, from_epoch));
 
   if (!quiet) {
